@@ -31,15 +31,6 @@ setNonBlocking(int fd)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/** Worker schedulers run jobs concurrently, so the coordinator can
- *  never hand out process-wide knobs regardless of what the CLI set. */
-tune::TunerOptions
-coordinatorTune(tune::TunerOptions t)
-{
-    t.processKnobs = false;
-    return t;
-}
-
 } // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options,
@@ -50,10 +41,8 @@ Coordinator::Coordinator(CoordinatorOptions options,
       runner_(serve::RunnerOptions{options_.batchSeed, ""},
               std::make_shared<serve::ArtifactCache>(0)),
       admission_(options_.limits),
-      tuner_(coordinatorTune(options_.tune)), placer_(workerFds.size()),
-      rng_(options_.batchSeed ^ 0xC0DA117Aull)
+      placer_(workerFds.size()), rng_(options_.batchSeed ^ 0xC0DA117Aull)
 {
-    tuner_.load();
     stats_.workers = workerFds.size();
     conns_.reserve(workerFds.size());
     for (int fd : workerFds) {
@@ -87,15 +76,6 @@ Coordinator::submit(const serve::JobRequest &req)
         return slot;
     }
     ++remaining_;
-    if (tuner_.mode() != tune::TuneMode::Off) {
-        // Decide here, at the serial submission point, so the decision
-        // sequence is a pure function of the request stream -- the hint
-        // rides the forwarded request line (excluded from its canonical
-        // hash, so child seeds and result bytes are unaffected).
-        tune::TuneDecision d =
-            tuner_.decide(tune::fingerprintForJob(screened.prepared));
-        screened.prepared.req.tuneHint = tune::renderHint(d);
-    }
     // Mint the job's trace id exactly as a single-process
     // BatchScheduler would (deterministic, unconditional), so telemetry
     // bytes match single-process runs and the worker's job span carries
@@ -245,8 +225,6 @@ Coordinator::handleFrame(int w, const Message &msg)
                               std::make_move_iterator(shipped.end()));
         }
         conn.spansDropped += msg.spansDropped;
-        if (!msg.tuneRecords.empty())
-            tuner_.absorbLines(msg.tuneRecords);
         if (options_.importMetrics && !msg.metrics.empty()) {
             std::string text = msg.metrics;
             while (!text.empty() &&

@@ -52,7 +52,6 @@
 #include "obs/trace.h"
 #include "serve/admission.h"
 #include "serve/runner.h"
-#include "tune/tuner.h"
 
 namespace rasengan::cluster {
 
@@ -75,18 +74,6 @@ struct CoordinatorOptions
      *  registry as <metricsPrefix><name>{worker="N",...} gauges. */
     bool importMetrics = true;
     std::string metricsPrefix = "cluster_worker_";
-    /**
-     * Adaptive-tuner configuration (mode Off disables all tune
-     * traffic).  The coordinator decides per-job knob hints at the
-     * serial submit point -- so the decision sequence matches a
-     * single-process run over the same request stream -- and ships
-     * each hint inside the forwarded request line; workers report
-     * measurements back in batch_done and the coordinator journals
-     * them for FUTURE runs.  processKnobs is forced off: worker
-     * schedulers run jobs concurrently and cannot honor process-wide
-     * knob changes.
-     */
-    tune::TunerOptions tune;
 };
 
 struct CoordinatorStats
@@ -136,9 +123,6 @@ class Coordinator
     }
 
     const CoordinatorStats &stats() const { return stats_; }
-
-    /** The coordinator's tuner (decision/absorb stats for tests/CLI). */
-    const tune::Tuner &tuner() const { return tuner_; }
 
     /**
      * Span forests shipped by workers in batch_done (decoded,
@@ -213,7 +197,6 @@ class Coordinator
     CoordinatorOptions options_;
     serve::JobRunner runner_; ///< prepare-only (cache budget 0)
     serve::AdmissionController admission_;
-    tune::Tuner tuner_;
     Placer placer_;
     Rng rng_; ///< backoff jitter stream (seeded from the batch seed)
 

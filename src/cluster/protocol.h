@@ -33,9 +33,8 @@
  *     result      slot index + writeResult() + writeTelemetry() lines
  *     batch_done  jobs finished this cycle + cache stats + a
  *                 jsonText() snapshot of the worker's metric registry
- *                 + optional tune measurement lines for the
- *                 coordinator's cost-model journal + optional compacted
- *                 span buffers (encodeSpanEvents) when tracing
+ *                 + optional compacted span buffers (encodeSpanEvents)
+ *                 when tracing
  *     bye         clean shutdown acknowledgment
  *
  * Determinism contract: result payloads are the exact writeResult()
@@ -156,10 +155,6 @@ struct Message
     uint64_t cacheEvictions = 0;
     uint64_t cacheBytesInUse = 0;
     std::string metrics; ///< obs jsonText() snapshot ("" = none)
-    /** Newline-joined tune measurement lines from the worker's cycle
-     *  ("" = none); the coordinator appends them to its cost-model
-     *  journal so the next run's decisions learn from the fleet. */
-    std::string tuneRecords;
     /** batch_done: obs::encodeSpanEvents() of the cycle's job span
      *  subtrees ("" = none / tracing off). */
     std::string spans;

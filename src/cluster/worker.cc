@@ -20,7 +20,6 @@
 #include "obs/trace.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
-#include "tune/tuner.h"
 
 namespace rasengan::cluster {
 
@@ -69,30 +68,7 @@ struct WorkerState
     /** Jobs accumulated since the last run: (coordinator slot, line). */
     std::vector<std::pair<uint64_t, std::string>> cycleJobs;
     size_t jobsRun = 0;
-
-    /** Tune measurement lines for this cycle's batch_done.  Guarded by
-     *  its own mutex: onJobComplete fires from pool threads.  Line
-     *  order follows completion order, which is fine -- the cost model
-     *  is a commutative sum, so journal order never affects decisions. */
-    std::mutex tuneMutex;
-    std::vector<std::string> tuneLines;
 };
-
-/**
- * Turn a finished job's telemetry into a cost-model measurement line.
- * Everything needed rides the telemetry the scheduler already fills
- * (bucket, applied arms, wall time, observed shape), so the worker
- * needs no tuner of its own -- it is a pure measurement source.
- */
-void
-recordTuneMeasurement(WorkerState &state, const serve::JobResult &result)
-{
-    tune::Measurement m;
-    if (!tune::measurementForResult(result, &m))
-        return;
-    std::lock_guard<std::mutex> lock(state.tuneMutex);
-    state.tuneLines.push_back(tune::encodeMeasurement(m));
-}
 
 bool
 sendMessage(WorkerState &state, const Message &msg)
@@ -213,7 +189,6 @@ runCycle(WorkerState &state, uint64_t expectedJobs, std::string *error)
         }
         if (state.disconnected.load(std::memory_order_relaxed))
             return;
-        recordTuneMeasurement(state, result);
         sendResult(state, slotOf[local], result);
     };
 
@@ -253,15 +228,6 @@ runCycle(WorkerState &state, uint64_t expectedJobs, std::string *error)
     done.cacheEvictions = cache.evictions;
     done.cacheBytesInUse = cache.bytesInUse;
     done.metrics = obs::Registry::global().jsonText();
-    {
-        std::lock_guard<std::mutex> lock(state.tuneMutex);
-        for (size_t i = 0; i < state.tuneLines.size(); ++i) {
-            if (i)
-                done.tuneRecords += '\n';
-            done.tuneRecords += state.tuneLines[i];
-        }
-        state.tuneLines.clear();
-    }
     if (state.shipSpans) {
         // Ship only the subtrees rooted at this cycle's remote-parented
         // job spans: in-process deployments share the trace registry

@@ -156,59 +156,11 @@ SparseState::applyPairRotation(const BitVec &mask,
     role.resize(n);
     partner.resize(n);
     const SimdKernels &kern = simdKernels();
-    if (denseLookupActive()) {
-        // Dense direct-index partner lookup: one table load per state
-        // instead of a log(n) binary search.  The role logic and the
-        // partner key (keys[i] ^ mask) are exactly the classify
-        // kernels'; only HOW the partner index is found differs, and
-        // the found index is the same integer, so every later pass --
-        // and the resulting amplitudes -- are unchanged bit for bit.
-        std::vector<uint64_t> &table = scratch_.denseTable;
-        const uint64_t table_size = uint64_t{1} << numQubits_;
-        if (table.size() != table_size) {
-            table.assign(table_size, 0);
-            scratch_.denseStamp = 0;
-        }
-        if (++scratch_.denseStamp == 0) {
-            // The 32-bit stamp wrapped; stale entries from 2^32
-            // rotations ago could alias, so clear once and restart.
-            std::fill(table.begin(), table.end(), uint64_t{0});
-            scratch_.denseStamp = 1;
-        }
-        const uint64_t stamp = uint64_t{scratch_.denseStamp} << 32;
-        parallel::parallelFor( // disjoint writes: keys are unique
-            0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-                for (uint64_t i = b; i < e; ++i)
-                    table[keys_[i].low64()] = stamp | i;
-            });
-        const uint64_t mask_lo = mask.low64();
-        parallel::parallelFor(
-            0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-                for (uint64_t i = b; i < e; ++i) {
-                    const BitVec restricted = keys_[i] & mask;
-                    if (restricted == pattern_plus)
-                        role[i] = kPlus;
-                    else if (restricted == pattern_minus)
-                        role[i] = kMinus;
-                    else {
-                        role[i] = kDark;
-                        continue;
-                    }
-                    const uint64_t entry =
-                        table[keys_[i].low64() ^ mask_lo];
-                    partner[i] = (entry & ~uint64_t{0xFFFFFFFF}) == stamp
-                                     ? static_cast<uint32_t>(entry)
-                                     : kAbsent;
-                }
-            });
-    } else {
-        parallel::parallelFor(
-            0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-                kern.sparseClassify(keys_.data(), n, b, e, mask,
-                                    pattern_plus, pattern_minus,
-                                    role.data(), partner.data());
-            });
-    }
+    parallel::parallelFor(
+        0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
+            kern.sparseClassify(keys_.data(), n, b, e, mask, pattern_plus,
+                                pattern_minus, role.data(), partner.data());
+        });
 
     // Pass 2 (serial, index order): enumerate each unordered pair once
     // -- from its plus member, or from the minus member when the plus

@@ -112,31 +112,6 @@ class SparseState
     size_t prune(double threshold = kDefaultPruneThreshold);
 
     /**
-     * Largest qubit count for which the dense direct-index partner
-     * lookup may be enabled: a 2^n-entry table at 8 bytes/entry tops
-     * out at 8 MiB, and keys are guaranteed to fit one 64-bit word.
-     */
-    static constexpr int kDenseLookupMaxQubits = 20;
-
-    /**
-     * Opt into the dense direct-index partner lookup for
-     * applyPairRotation's classify pass: an epoch-stamped 2^n table
-     * mapping basis index -> support position replaces the per-state
-     * binary search.  Only the partner SEARCH changes -- roles, partner
-     * indices, and every downstream floating-point operation are
-     * integer-identical to the searched path, so amplitudes are
-     * bit-identical with the lookup on or off.  Ignored (falls back to
-     * the search) above kDenseLookupMaxQubits.
-     */
-    void setDenseLookup(bool enabled) { denseLookup_ = enabled; }
-
-    /** Whether the dense lookup is enabled AND applicable here. */
-    bool denseLookupActive() const
-    {
-        return denseLookup_ && numQubits_ <= kDenseLookupMaxQubits;
-    }
-
-    /**
      * Exact evolution e^{-i H^tau t} for the transition Hamiltonian whose
      * support is @p mask and whose raising pattern is @p pattern_plus
      * (the support-restricted bits a state must show for x+u to stay
@@ -210,17 +185,8 @@ class SparseState
         std::vector<Complex> nextAmps;
         std::vector<std::pair<uint32_t, uint32_t>> pairs;
         std::vector<uint8_t> keep;
-        /**
-         * Dense lookup table: entry (stamp << 32 | support index) per
-         * basis state, valid only when its stamp matches denseStamp.
-         * Stamping makes re-population O(support) per rotation instead
-         * of O(2^n) clears.
-         */
-        std::vector<uint64_t> denseTable;
-        uint32_t denseStamp = 0;
     };
     Scratch scratch_;
-    bool denseLookup_ = false;
 };
 
 } // namespace rasengan::qsim

@@ -1015,11 +1015,6 @@ Daemon::runOne(QueuedJob job)
         runningCostUnits_ = job.slo.costUnits;
     }
 
-    // Worker thread, strictly serial: the tuner hook may set per-job
-    // tuning fields and apply process-wide knobs for this job.
-    if (options_.onJobPrepared)
-        options_.onJobPrepared(job.prepared);
-
     obs::SpanContext ctx;
     ctx.traceId = req.traceHint;
     obs::Span span("daemon", "job", req.id, ctx);

@@ -98,16 +98,10 @@ struct DaemonOptions
     size_t maxLineBytes = LineReader::kDefaultMaxLineBytes;
 
     /**
-     * Adaptive-tuner attachment points (the daemon does not link the
-     * tune library; rasengan_served wires a tune::Tuner in).  Both run
-     * on the WORKER thread, which executes jobs strictly serially --
-     * so onJobPrepared may additionally apply process-wide knobs
-     * (threads, fusion, SIMD ISA) for the job it is about to run, and
-     * onJobComplete observes the finished job's telemetry for
-     * measurement recording.  onJobPrepared may rewrite job.tuning and
-     * nothing else.
+     * Invoked on the WORKER thread, which executes jobs strictly
+     * serially, right after a job reaches its terminal result -- a
+     * read-only observer of the finished job and its telemetry.
      */
-    std::function<void(PreparedJob &)> onJobPrepared;
     std::function<void(const PreparedJob &, const JobResult &)>
         onJobComplete;
 };

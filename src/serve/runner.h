@@ -46,24 +46,6 @@ struct RunnerOptions
     std::string checkpointDir;
 };
 
-/**
- * Result-invariant per-job execution knobs chosen by the adaptive tuner
- * (or parsed from a coordinator's tune hint).  Deliberately a plain
- * struct -- serve does not link the tune library; the tools and the
- * cluster wire a tune::Tuner into the scheduler/daemon hooks and map
- * its decisions onto these fields.  Every field is a pure performance
- * hint: results are byte-identical for any assignment, and none of it
- * is hashed into the child seed.
- */
-struct JobTuning
-{
-    bool denseLookup = false; ///< RasenganOptions::denseIndexLookup
-    bool cachePlans = true;   ///< RasenganOptions::cacheRotationPlans
-    std::string bucket;       ///< fingerprint bucket (telemetry/records)
-    std::string decision;     ///< rendered knob assignment (telemetry)
-    std::string source;       ///< default|explore:...|model|hint
-};
-
 /** A validated, materialized job ready to execute. */
 struct PreparedJob
 {
@@ -76,9 +58,6 @@ struct PreparedJob
     /** 16-hex digest of the canonical request text: the job's content
      *  identity in the journal and checkpoint filenames. */
     std::string fingerprint;
-    /** Filled by prepare() from req.tuneHint when present; otherwise
-     *  defaults until an onJobPrepared hook overrides it. */
-    JobTuning tuning;
 };
 
 struct PrepareOutcome

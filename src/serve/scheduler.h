@@ -72,14 +72,6 @@ struct ServeOptions
      */
     std::function<void(size_t, const JobResult &)> onJobComplete;
     /**
-     * Invoked SERIALLY, in submission order, right after a request is
-     * admitted and prepared -- the adaptive-tuner attachment point: the
-     * callee may rewrite job.tuning (and nothing else) to steer the
-     * result-invariant per-job knobs.  Serve does not link the tune
-     * library; the tools and cluster wire a tune::Tuner in here.
-     */
-    std::function<void(PreparedJob &)> onJobPrepared;
-    /**
      * Distributed-trace wiring for cluster workers.  When
      * traceRemoteParent is nonzero, per-job spans open under that
      * REMOTE parent (the coordinator's batch span id, propagated at

@@ -363,6 +363,13 @@ TEST(Jsonl, RequestParserRejectsUnknownKeysAndBadTypes)
                      .ok);
     EXPECT_FALSE(
         parseRequest("{\"benchmark\":\"F1\",\"iterations\":2.5}").ok);
+    // "tune" is not a request key: old senders get the unknown-key error.
+    RequestParseResult tuned =
+        parseRequest("{\"benchmark\":\"F1\",\"tune\":\"engine=dense\"}");
+    EXPECT_FALSE(tuned.ok);
+    EXPECT_NE(tuned.error.find("unknown request key \"tune\""),
+              std::string::npos)
+        << tuned.error;
 }
 
 TEST(Jsonl, ValidateRequestCatchesBadEnumsAndRanges)
@@ -828,7 +835,7 @@ TEST(Jsonl, TraceHintRoundTripsAndStaysOffTheCanonicalText)
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_EQ(parsed.request.traceHint, req.traceHint);
 
-    // Like priority/tune, the trace id says WHO IS WATCHING a job, not
+    // Like priority, the trace id says WHO IS WATCHING a job, not
     // WHAT it computes: the canonical text (and therefore the child
     // seed and every result byte) must not see it.
     JobRequest bare = req;

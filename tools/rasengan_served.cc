@@ -45,15 +45,6 @@
  *                        (default: RASENGAN_SIMD env, then auto); the
  *                        active ISA is logged at startup and exported
  *                        as the simd_isa_info gauge on /metrics.json
- *   --tune MODE          adaptive execution: off|observe|auto (default:
- *                        RASENGAN_TUNE env, then off).  The worker
- *                        thread runs jobs strictly serially, so auto
- *                        may retune process knobs (threads, fusion,
- *                        SIMD ISA) per job on top of the per-job
- *                        engine/plan knobs; every knob is
- *                        result-invariant
- *   --tune-model FILE    cost-model journal (default: RASENGAN_TUNE_MODEL
- *                        env, then rasengan_tune_model.jsonl)
  *   --flight SPEC        flight recorder: on|off|N (ring entries)|
  *                        /dump/path (default: RASENGAN_FLIGHT env, then
  *                        ON -- the daemon always keeps a flight ring).
@@ -72,7 +63,6 @@
 #include "obs/flight.h"
 #include "qsim/simd.h"
 #include "serve/daemon.h"
-#include "tune_cli.h"
 
 using namespace rasengan;
 
@@ -100,7 +90,6 @@ usage()
         "[--max-cost UNITS]\n"
         "  [--cost-rate UNITS_PER_S] [--shed-margin FRACTION]\n"
         "  [--simd auto|avx2|neon|scalar]\n"
-        "  [--tune off|observe|auto] [--tune-model FILE]\n"
         "  [--flight on|off|N|PATH]\n");
 }
 
@@ -113,8 +102,6 @@ main(int argc, char **argv)
     options.listen.clear();
     long cacheMb = 64;
     std::string simdSpec;
-    std::string tuneSpec;
-    std::string tuneModelSpec;
     std::string flightSpec;
 
     for (int i = 1; i < argc; ++i) {
@@ -157,10 +144,6 @@ main(int argc, char **argv)
             options.slo.shedMargin = std::strtod(v, nullptr);
         else if (flag == "--simd" && (v = next()))
             simdSpec = v;
-        else if (flag == "--tune" && (v = next()))
-            tuneSpec = v;
-        else if (flag == "--tune-model" && (v = next()))
-            tuneModelSpec = v;
         else if (flag == "--flight" && (v = next()))
             flightSpec = v;
         else {
@@ -197,37 +180,6 @@ main(int argc, char **argv)
     // env/default-ON convention only when nothing was decided here.
     if (!flightSpec.empty())
         obs::flight::configureFromSpec(flightSpec, /*defaultOn=*/true);
-
-    // Adaptive execution: the daemon's worker thread runs jobs strictly
-    // serially, so process knobs (threads, fusion, ISA) can be retuned
-    // per job in addition to the per-job engine/plan knobs.  The tuner
-    // outlives the daemon (hooks reference it).
-    tune::TunerOptions tuneOpts;
-    if (!tools::resolveTunerOptions(tuneSpec, tuneModelSpec, tuneOpts))
-        return 1;
-    tools::fillHostKnobs(tuneOpts);
-    if (options.threads > 0)
-        tuneOpts.defaultThreads = options.threads;
-    tune::Tuner tuner(tuneOpts);
-    tuner.load();
-    if (tuner.mode() != tune::TuneMode::Off) {
-        options.onJobPrepared = [&tuner](serve::PreparedJob &job) {
-            tune::TuneDecision d =
-                tuner.decide(tune::fingerprintForJob(job));
-            tools::applyTuneDecision(d);
-            job.tuning.denseLookup = d.denseLookup();
-            job.tuning.cachePlans = d.cachePlans();
-            job.tuning.bucket = d.bucket;
-            job.tuning.decision = tune::renderArms(d.arms);
-            job.tuning.source = d.source;
-        };
-        options.onJobComplete = [&tuner](const serve::PreparedJob &,
-                                         const serve::JobResult &result) {
-            tune::Measurement m;
-            if (tune::measurementForResult(result, &m))
-                tuner.record(m);
-        };
-    }
 
     serve::Daemon daemon(options);
     std::string error;
