@@ -50,19 +50,14 @@
 #include "common/rng.h"
 #include "exec/retry.h"
 #include "obs/trace.h"
-#include "serve/admission.h"
+#include "serve/config.h"
 #include "serve/runner.h"
 
 namespace rasengan::cluster {
 
-struct CoordinatorOptions
+/** ServiceConfig::threads and cacheBudgetBytes apply per worker. */
+struct CoordinatorOptions : serve::ServiceConfig
 {
-    uint64_t batchSeed = 0;
-    /** Threads per worker (0 = each worker keeps its own config). */
-    int threads = 0;
-    uint64_t cacheBudgetBytes = 64ull << 20;
-    /** Real admission limits; screening happens here, never on workers. */
-    serve::AdmissionLimits limits;
     size_t maxFrameBytes = kDefaultMaxFrameBytes;
     /** Fault plan forwarded to worker @p faultWorker's hello (tests/CI). */
     std::string faultSpec;

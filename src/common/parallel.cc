@@ -47,38 +47,49 @@ class Pool
         return pool;
     }
 
-    int size() const { return size_; }
+    /** Lock-free: parallelFor callers size their chunk lists with it
+     *  while another thread may be inside configure(). */
+    int size() const { return size_.load(std::memory_order_relaxed); }
 
     void
     configure(int requested)
     {
         std::lock_guard<std::mutex> serial(runMutex_);
+        const int n = resolveThreadCount(requested);
+        if (n == size())
+            return; // keep the running workers
         stopWorkers();
-        size_ = resolveThreadCount(requested);
+        size_.store(n, std::memory_order_relaxed);
         startWorkers();
     }
 
     /**
      * Run @p fn over the chunk list @p ranges (ranges.size() >= 1).
-     * The caller executes ranges[0]; workers 0..ranges.size()-2 execute
-     * the rest.  Returns after every chunk completed.
+     * The caller executes ranges[0]; workers 0..size()-2 execute
+     * ranges 1..size()-1.  Chunks beyond that (the list was sized
+     * before a concurrent configure() shrank the pool) also run on the
+     * caller.  Returns after every chunk completed.
      */
     void
     run(const std::function<void(uint64_t, uint64_t)> &fn,
         std::vector<std::pair<uint64_t, uint64_t>> ranges)
     {
         std::lock_guard<std::mutex> serial(runMutex_);
+        const size_t pooled =
+            std::min(ranges.size(), static_cast<size_t>(size()));
         {
             std::lock_guard<std::mutex> lock(mutex_);
             fn_ = &fn;
             ranges_ = std::move(ranges);
-            pending_ = static_cast<int>(ranges_.size()) - 1;
+            pending_ = static_cast<int>(pooled) - 1;
             ++generation_;
         }
         wake_.notify_all();
 
         tls_in_parallel = true;
         (*fn_)(ranges_[0].first, ranges_[0].second);
+        for (size_t c = pooled; c < ranges_.size(); ++c)
+            (*fn_)(ranges_[c].first, ranges_[c].second);
         tls_in_parallel = false;
 
         std::unique_lock<std::mutex> lock(mutex_);
@@ -99,7 +110,7 @@ class Pool
         // they were spawned: hand each its starting generation so the
         // first wake only fires on the next run().
         const uint64_t gen = generation_;
-        for (int w = 0; w < size_ - 1; ++w)
+        for (int w = 0; w < size() - 1; ++w)
             workers_.emplace_back([this, w, gen] { workerLoop(w, gen); });
     }
 
@@ -160,7 +171,7 @@ class Pool
     std::vector<std::pair<uint64_t, uint64_t>> ranges_;
     uint64_t generation_ = 0;
     int pending_ = 0;
-    int size_ = 1;
+    std::atomic<int> size_{1};
     bool shutdown_ = false;
 };
 

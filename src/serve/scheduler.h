@@ -36,25 +36,14 @@
 #include "obs/trace.h" // SpanId + the obs clock
 #include "serve/admission.h"
 #include "serve/artifact_cache.h"
+#include "serve/config.h"
 #include "serve/job.h"
 #include "serve/runner.h"
 
 namespace rasengan::serve {
 
-struct ServeOptions
+struct ServeOptions : ServiceConfig
 {
-    /**
-     * Worker threads for the batch (applied via
-     * parallel::setThreadCount before dispatch).  0 keeps the
-     * current/env-derived pool configuration.
-     */
-    int threads = 0;
-    /** Mixed into every job's child seed; same batch seed + same
-     *  requests -> same results. */
-    uint64_t batchSeed = 0;
-    /** Artifact cache LRU budget in bytes; 0 disables caching. */
-    uint64_t cacheBudgetBytes = 64ull << 20;
-    AdmissionLimits limits;
     /**
      * Cooperative stop flag (SIGTERM/SIGINT in the CLI).  When it
      * becomes true mid-batch, jobs already running finish normally;

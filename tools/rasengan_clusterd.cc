@@ -23,16 +23,13 @@
  *                     [--workers N | --listen PORT --expect-workers N]
  *   rasengan_clusterd --worker --connect HOST:PORT
  *
- * Options (coordinator modes):
- *   --out FILE, --telemetry FILE, --threads N, --batch-seed S,
- *   --cache-mb M, --max-queue N, --max-qubits N, --max-shots N,
- *   --max-cost UNITS        (same meanings as rasengan_serve)
+ * Options (coordinator modes, besides the common serving flags in
+ * README; --threads and --cache-mb apply per worker):
  *   --max-placements N      placement attempts per job across worker
  *                           deaths (default 3)
  *   --fault SPEC            fault plan forwarded to one worker:
  *                           kill-after:N | disconnect-after:N
  *   --fault-worker W        which worker gets --fault (default 0)
- *   --simd ISA, --trace FILE, --metrics FILE, --flight SPEC
  *
  * Distributed tracing: with --trace the coordinator propagates a
  * per-job 128-bit trace id inside every forwarded request, workers
@@ -46,7 +43,6 @@
  *   RASENGAN_CLUSTER_WORKERS    default for --workers
  *   RASENGAN_CLUSTER_FAULT      default for --fault
  *   RASENGAN_CLUSTER_MAX_FRAME  wire frame size cap in bytes
- *   RASENGAN_FLIGHT             default for --flight
  *
  * Exit status: 0 all jobs ok, 1 usage/I-O/cluster failure, 2 some
  * admitted job failed (rejections alone are reported outcomes).
@@ -62,8 +58,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -72,9 +66,7 @@
 #include "cluster/worker.h"
 #include "exec/faults.h"
 #include "obs_cli.h"
-#include "serve/job.h"
 #include "serve/jsonl.h"
-#include "serve/workload.h"
 
 using namespace rasengan;
 
@@ -89,115 +81,44 @@ struct Args
     long listenPort = -1;
     long expectWorkers = -1;
 
-    // Batch (mirrors rasengan_serve)
-    std::string requests;
-    long workload = -1;
-    uint64_t workloadSeed = 1;
-    std::string out;
-    std::string telemetry;
-    int threads = 0;
-    uint64_t batchSeed = 0;
-    long cacheMb = 64;
-    long maxQueue = -1;
-    long maxQubits = -1;
-    long maxShots = -1;
-    double maxCost = -1.0;
-    long maxPlacements = 3;
-    std::string fault;
-    long faultWorker = 0;
-    std::string simd;
+    tools::BatchIo io;
+    cluster::CoordinatorOptions coordinator;
     tools::ObsCliOptions obs;
     std::string traceSignature; ///< merged signature output path
 };
 
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: rasengan_clusterd (--requests FILE | --workload N "
-        "[--workload-seed S])\n"
-        "  [--workers N | --listen PORT --expect-workers N]\n"
-        "  [--out FILE] [--telemetry FILE] [--threads N] "
-        "[--batch-seed S]\n"
-        "  [--cache-mb M] [--max-queue N] [--max-qubits N] "
-        "[--max-shots N] [--max-cost UNITS]\n"
-        "  [--max-placements N] [--fault SPEC] [--fault-worker W]\n"
-        "  [--simd auto|avx2|neon|scalar] [--trace FILE] "
-        "[--trace-signature FILE]\n"
-        "  [--metrics FILE] [--flight on|off|N|PATH]\n"
-        "   or: rasengan_clusterd --worker --connect HOST:PORT\n");
-}
-
 bool
 parseArgs(int argc, char **argv, Args &args)
 {
+    cluster::CoordinatorOptions &c = args.coordinator;
+    // This driver's defaults: --fault-worker 0, --max-placements 3.
+    c.faultWorker = 0;
+    c.retry.maxAttempts = 3;
+    c.maxFrameBytes = cluster::maxFrameBytesFromEnv();
     if (const char *env = std::getenv("RASENGAN_CLUSTER_WORKERS"))
         args.workers = std::strtol(env, nullptr, 10);
     if (const char *env = std::getenv("RASENGAN_CLUSTER_FAULT"))
-        args.fault = env;
+        c.faultSpec = env;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (flag == "--workers" && (v = next()))
-            args.workers = std::strtol(v, nullptr, 10);
-        else if (flag == "--worker")
-            args.workerMode = true;
-        else if (flag == "--connect" && (v = next()))
-            args.connect = v;
-        else if (flag == "--listen" && (v = next()))
-            args.listenPort = std::strtol(v, nullptr, 10);
-        else if (flag == "--expect-workers" && (v = next()))
-            args.expectWorkers = std::strtol(v, nullptr, 10);
-        else if (flag == "--requests" && (v = next()))
-            args.requests = v;
-        else if (flag == "--workload" && (v = next()))
-            args.workload = std::strtol(v, nullptr, 10);
-        else if (flag == "--workload-seed" && (v = next()))
-            args.workloadSeed = std::strtoull(v, nullptr, 10);
-        else if (flag == "--out" && (v = next()))
-            args.out = v;
-        else if (flag == "--telemetry" && (v = next()))
-            args.telemetry = v;
-        else if (flag == "--threads" && (v = next()))
-            args.threads = static_cast<int>(std::strtol(v, nullptr, 10));
-        else if (flag == "--batch-seed" && (v = next()))
-            args.batchSeed = std::strtoull(v, nullptr, 10);
-        else if (flag == "--cache-mb" && (v = next()))
-            args.cacheMb = std::strtol(v, nullptr, 10);
-        else if (flag == "--max-queue" && (v = next()))
-            args.maxQueue = std::strtol(v, nullptr, 10);
-        else if (flag == "--max-qubits" && (v = next()))
-            args.maxQubits = std::strtol(v, nullptr, 10);
-        else if (flag == "--max-shots" && (v = next()))
-            args.maxShots = std::strtol(v, nullptr, 10);
-        else if (flag == "--max-cost" && (v = next()))
-            args.maxCost = std::strtod(v, nullptr);
-        else if (flag == "--max-placements" && (v = next()))
-            args.maxPlacements = std::strtol(v, nullptr, 10);
-        else if (flag == "--fault" && (v = next()))
-            args.fault = v;
-        else if (flag == "--fault-worker" && (v = next()))
-            args.faultWorker = std::strtol(v, nullptr, 10);
-        else if (flag == "--simd" && (v = next()))
-            args.simd = v;
-        else if (flag == "--trace" && (v = next()))
-            args.obs.tracePath = v;
-        else if (flag == "--trace-signature" && (v = next()))
-            args.traceSignature = v;
-        else if (flag == "--metrics" && (v = next()))
-            args.obs.metricsPath = v;
-        else if (flag == "--flight" && (v = next()))
-            args.obs.flightSpec = v;
-        else {
-            std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                         flag.c_str());
-            return false;
-        }
+    tools::FlagSet flags(
+        "rasengan_clusterd (--requests FILE | --workload N "
+        "[--workload-seed S])\n"
+        "  (--workers N | --listen PORT --expect-workers N) [options]\n"
+        "   or: rasengan_clusterd --worker --connect HOST:PORT");
+    flags.count("--workers", "N", &args.workers);
+    flags.toggle("--worker", &args.workerMode);
+    flags.text("--connect", "HOST:PORT", &args.connect);
+    flags.count("--listen", "PORT", &args.listenPort);
+    flags.count("--expect-workers", "N", &args.expectWorkers);
+    tools::addBatchFlags(flags, args.io);
+    tools::addServiceFlags(flags, tools::Front::Batch, c, args.obs);
+    flags.count("--max-placements", "N", &c.retry.maxAttempts, 1);
+    flags.text("--fault", "SPEC", &c.faultSpec);
+    flags.count("--fault-worker", "W", &c.faultWorker);
+    flags.text("--trace-signature", "FILE", &args.traceSignature);
+    if (!flags.parse(argc, argv)) {
+        flags.usage();
+        return false;
     }
 
     if (args.workerMode) {
@@ -206,13 +127,6 @@ parseArgs(int argc, char **argv, Args &args)
             return false;
         }
         return true;
-    }
-    bool haveRequests = !args.requests.empty();
-    bool haveWorkload = args.workload >= 0;
-    if (haveRequests == haveWorkload) {
-        std::fprintf(stderr, "exactly one of --requests and --workload "
-                             "is required\n");
-        return false;
     }
     bool forkMode = args.workers > 0;
     bool listenMode = args.listenPort >= 0;
@@ -225,12 +139,8 @@ parseArgs(int argc, char **argv, Args &args)
         std::fprintf(stderr, "--listen requires --expect-workers N\n");
         return false;
     }
-    if (args.maxPlacements < 1) {
-        std::fprintf(stderr, "--max-placements must be >= 1\n");
-        return false;
-    }
     exec::ProcessFaultParseResult fault =
-        exec::parseProcessFaultPlan(args.fault);
+        exec::parseProcessFaultPlan(c.faultSpec);
     if (!fault.ok) {
         std::fprintf(stderr, "--fault: %s\n", fault.error.c_str());
         return false;
@@ -359,10 +269,8 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args)) {
-        usage();
+    if (!parseArgs(argc, argv, args))
         return 1;
-    }
     if (!args.traceSignature.empty() && args.obs.tracePath.empty()) {
         std::fprintf(stderr,
                      "--trace-signature requires --trace (the signature "
@@ -371,7 +279,7 @@ main(int argc, char **argv)
     }
 
     if (args.workerMode) {
-        if (!tools::applySimdFlag(args.simd))
+        if (!tools::applySimdFlag(args.obs.simdSpec))
             return 1;
         int fd = connectTo(args.connect);
         if (fd < 0)
@@ -385,6 +293,12 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // Same loader as rasengan_serve, so the merged output is
+    // comparable line for line.
+    std::vector<serve::JobRequest> requests;
+    if (!tools::loadRequests(args.io, requests))
+        return 1;
+
     // Workers first: fork mode must spawn before any pool/simd setup so
     // children start from a clean, thread-free process image.
     std::vector<int> workerFds;
@@ -397,69 +311,10 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Assemble the request list (same defaulting as rasengan_serve, so
-    // the merged output is comparable line for line).
-    std::vector<serve::JobRequest> requests;
-    if (!args.requests.empty()) {
-        std::ifstream in(args.requests);
-        if (!in) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         args.requests.c_str());
-            return 1;
-        }
-        serve::LineReader reader(in);
-        serve::LineReader::Line line;
-        while (reader.next(line)) {
-            if (!line.ok) {
-                const char *why =
-                    line.hasNul ? "request line contains a NUL byte"
-                    : line.oversized
-                        ? "request line exceeds the length cap"
-                        : "truncated final line (no newline)";
-                std::fprintf(stderr, "%s:%zu: %s\n",
-                             args.requests.c_str(), line.number, why);
-                return 1;
-            }
-            serve::RequestParseResult parsed =
-                serve::parseRequest(line.text);
-            if (!parsed.ok) {
-                std::fprintf(stderr, "%s:%zu: %s\n",
-                             args.requests.c_str(), line.number,
-                             parsed.error.c_str());
-                return 1;
-            }
-            if (parsed.request.id.empty())
-                parsed.request.id = "line-" + std::to_string(line.number);
-            requests.push_back(std::move(parsed.request));
-        }
-    } else {
-        requests = serve::generateWorkload(
-            static_cast<size_t>(args.workload), args.workloadSeed);
-    }
-
-    cluster::CoordinatorOptions options;
-    options.batchSeed = args.batchSeed;
-    options.threads = args.threads;
-    options.cacheBudgetBytes = static_cast<uint64_t>(args.cacheMb) << 20;
-    if (args.maxQueue >= 0)
-        options.limits.maxQueuedJobs = static_cast<size_t>(args.maxQueue);
-    if (args.maxQubits >= 0)
-        options.limits.maxQubits = static_cast<int>(args.maxQubits);
-    if (args.maxShots >= 0)
-        options.limits.maxShotsPerJob =
-            static_cast<uint64_t>(args.maxShots);
-    if (args.maxCost >= 0.0)
-        options.limits.maxJobCostUnits = args.maxCost;
-    options.maxFrameBytes = cluster::maxFrameBytesFromEnv();
-    options.faultSpec = args.fault;
-    options.faultWorker = static_cast<int>(args.faultWorker);
-    options.retry.maxAttempts = static_cast<int>(args.maxPlacements);
-
-    if (!tools::applySimdFlag(args.simd))
+    if (!tools::obsCliStart(args.obs))
         return 1;
-    tools::obsCliStart(args.obs);
 
-    cluster::Coordinator coordinator(options, std::move(workerFds));
+    cluster::Coordinator coordinator(args.coordinator, std::move(workerFds));
     for (const auto &req : requests)
         coordinator.submit(req);
     std::string error;
@@ -467,32 +322,12 @@ main(int argc, char **argv)
     if (!ok)
         std::fprintf(stderr, "cluster: %s\n", error.c_str());
 
-    // Merged result stream, submission order.
-    std::FILE *out = stdout;
-    if (!args.out.empty()) {
-        out = std::fopen(args.out.c_str(), "w");
-        if (!out) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         args.out.c_str());
-            return 1;
-        }
-    }
-    for (const auto &line : coordinator.resultLines())
-        std::fprintf(out, "%s\n", line.c_str());
-    if (out != stdout)
-        std::fclose(out);
-
-    if (!args.telemetry.empty()) {
-        std::FILE *tel = std::fopen(args.telemetry.c_str(), "w");
-        if (!tel) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         args.telemetry.c_str());
-            return 1;
-        }
-        for (const auto &line : coordinator.telemetryLines())
-            std::fprintf(tel, "%s\n", line.c_str());
-        std::fclose(tel);
-    }
+    // Merged result and telemetry streams, submission order.
+    if (!tools::writeLines(args.io.out, coordinator.resultLines()) ||
+        (!args.io.telemetry.empty() &&
+         !tools::writeLines(args.io.telemetry,
+                            coordinator.telemetryLines())))
+        return 1;
 
     // Outcome accounting from the merged lines themselves.
     size_t accepted = 0, rejected = 0, failed = 0;

@@ -18,21 +18,13 @@
  *   --faults RATE    inject transient faults at RATE (0..1) per execution
  *   --retries N      retry budget per execution (default 5)
  *   --checkpoint P   checkpoint/resume the solve through file P
- *   --threads N      simulation threads (default: RASENGAN_THREADS env,
- *                    then hardware concurrency); results are
- *                    bit-identical at every setting
- *   --simd ISA       amplitude kernel ISA: auto|avx2|neon|scalar
- *                    (default: RASENGAN_SIMD env, then auto); results
- *                    are bit-identical for every choice
- *   --trace PATH     write a Chrome trace-event JSON of the solve
- *                    (load in Perfetto or chrome://tracing)
- *   --metrics PATH   write the metrics registry; Prometheus text, or
- *                    flat JSON when PATH ends in .json
+ *
+ * Shared flags (README "Common serving flags"): --threads N (>= 1;
+ * results are bit-identical at every setting), --simd, --trace,
+ * --metrics, --flight.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -68,140 +60,34 @@ struct Args
     double faults = 0.0;
     int retries = 5;
     std::string checkpoint;
-    int threads = 0;
-    std::string simd;
+    serve::ServiceConfig service; ///< only --threads applies here
     tools::ObsCliOptions obs;
 };
 
-void
-usage()
+/** Every flag, registered to write into @p args. */
+tools::FlagSet
+solveFlags(Args &args)
 {
-    std::fprintf(stderr,
-                 "usage: rasengan_solve (--benchmark ID | --file PATH | "
-                 "--dump ID)\n"
-                 "  [--algorithm rasengan|chocoq|pqaoa|hea] "
-                 "[--iterations N] [--seed S]\n"
-                 "  [--noise none|kyiv|brisbane] "
-                 "[--optimizer cobyla|nelder-mead|spsa|adam-spsa]\n"
-                 "  [--draw] [--qasm]\n"
-                 "  [--faults RATE] [--retries N] [--checkpoint PATH]\n"
-                 "  [--threads N] [--simd auto|avx2|neon|scalar]\n"
-                 "  [--trace PATH] [--metrics PATH] "
-                 "[--flight on|off|N|PATH]\n");
-}
-
-bool
-parseArgs(int argc, char **argv, Args &args)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (flag == "--benchmark") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.benchmark = v;
-        } else if (flag == "--file") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.file = v;
-        } else if (flag == "--dump") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.dump = v;
-        } else if (flag == "--algorithm") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.algorithm = v;
-        } else if (flag == "--noise") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.noise = v;
-        } else if (flag == "--optimizer") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.optimizer = v;
-        } else if (flag == "--iterations") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.iterations = std::atoi(v);
-        } else if (flag == "--seed") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.seed = std::strtoull(v, nullptr, 10);
-        } else if (flag == "--faults") {
-            const char *v = next();
-            if (!v)
-                return false;
-            char *end = nullptr;
-            args.faults = std::strtod(v, &end);
-            if (end == v || *end != '\0' || args.faults < 0.0 ||
-                args.faults > 1.0) {
-                std::fprintf(stderr, "--faults needs a rate in [0, 1]\n");
-                return false;
-            }
-        } else if (flag == "--retries") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.retries = std::atoi(v);
-            if (args.retries < 1) {
-                std::fprintf(stderr, "--retries needs a count >= 1\n");
-                return false;
-            }
-        } else if (flag == "--checkpoint") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.checkpoint = v;
-        } else if (flag == "--threads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.threads = std::atoi(v);
-            if (args.threads < 1) {
-                std::fprintf(stderr, "--threads needs a count >= 1\n");
-                return false;
-            }
-        } else if (flag == "--simd") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.simd = v;
-        } else if (flag == "--trace") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.obs.tracePath = v;
-        } else if (flag == "--metrics") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.obs.metricsPath = v;
-        } else if (flag == "--flight") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.obs.flightSpec = v;
-        } else if (flag == "--draw") {
-            args.draw = true;
-        } else if (flag == "--qasm") {
-            args.qasm = true;
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
-            return false;
-        }
-    }
-    return true;
+    tools::FlagSet flags(
+        "rasengan_solve (--benchmark ID | --file PATH | --dump ID) "
+        "[options]");
+    flags.text("--benchmark", "ID", &args.benchmark);
+    flags.text("--file", "PATH", &args.file);
+    flags.text("--dump", "ID", &args.dump);
+    flags.text("--algorithm", "rasengan|chocoq|pqaoa|hea", &args.algorithm);
+    flags.count("--iterations", "N", &args.iterations);
+    flags.count("--seed", "S", &args.seed);
+    flags.text("--noise", "none|kyiv|brisbane", &args.noise);
+    flags.text("--optimizer", "cobyla|nelder-mead|spsa|adam-spsa",
+               &args.optimizer);
+    flags.toggle("--draw", &args.draw);
+    flags.toggle("--qasm", &args.qasm);
+    flags.number("--faults", "RATE", &args.faults);
+    flags.count("--retries", "N", &args.retries, 1);
+    flags.text("--checkpoint", "PATH", &args.checkpoint);
+    tools::addServiceFlags(flags, tools::Front::Solve, args.service,
+                           args.obs);
+    return flags;
 }
 
 std::optional<opt::Method>
@@ -225,7 +111,7 @@ makeResilience(const Args &args)
     r.faults.rate = args.faults;
     r.faults.seed = args.seed ^ 0xFA17;
     r.retry.maxAttempts = args.retries;
-    r.threads = args.threads;
+    r.threads = args.service.threads;
     return r;
 }
 
@@ -377,15 +263,19 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args)) {
-        usage();
+    const tools::FlagSet flags = solveFlags(args);
+    if (!flags.parse(argc, argv)) {
+        flags.usage();
         return 1;
     }
-    if (args.threads > 0)
-        parallel::setThreadCount(args.threads);
-    if (!tools::applySimdFlag(args.simd))
+    if (args.faults > 1.0) {
+        std::fprintf(stderr, "--faults needs a rate in [0, 1]\n");
         return 1;
-    tools::obsCliStart(args.obs);
+    }
+    if (args.service.threads > 0)
+        parallel::setThreadCount(args.service.threads);
+    if (!tools::obsCliStart(args.obs))
+        return 1;
 
     if (!args.dump.empty()) {
         if (!problems::isBenchmarkId(args.dump)) {
@@ -425,14 +315,14 @@ main(int argc, char **argv)
         }
         problem = std::move(parsed.problem);
     } else {
-        usage();
+        flags.usage();
         return 1;
     }
 
     auto method = parseOptimizer(args.optimizer);
     auto noise = parseNoise(args.noise);
     if (!method || !noise) {
-        usage();
+        flags.usage();
         return 1;
     }
 
