@@ -3,19 +3,14 @@
  * Scalar-vs-SIMD A/B for the amplitude kernel tier (qsim/simd.h),
  * written as a machine-readable artifact (BENCH_simd.json).
  *
- * For every ISA the build and CPU support, each hot kernel family is
- * timed against the scalar reference on identical inputs:
+ * For every ISA the build and CPU support, each dispatched kernel
+ * family is timed against the scalar reference on identical inputs:
  *
  *   - dense_1q_layer:     apply1q sweep over every qubit (>= 20 qubits
  *                         outside fast mode);
  *   - dense_cx_chain:     applyControlled1q chain;
- *   - dense_diag_evo:     applyDiagonalEvolution (scalar libm phase
- *                         factors, vectorized multiply);
  *   - dense_diag_terms:   applyDiagonalTerms with a deep coalesced
- *                         term block (vectorized control-mask scan);
- *   - sparse_rotation:    SparseState::applyPairRotation chain
- *                         (classify + batched partner search + gathered
- *                         pair rotation).
+ *                         term block (vectorized control-mask scan).
  *
  * Every SIMD record carries speedup_vs_scalar and max_abs_diff; the
  * determinism contract makes the latter exactly 0.0, and CI fails the
@@ -41,7 +36,6 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "qsim/simd.h"
-#include "qsim/sparsestate.h"
 #include "qsim/statevector.h"
 
 namespace {
@@ -178,15 +172,6 @@ benchDense(int n, int repeats, bench::Table &table)
             },
             table);
 
-    std::vector<double> values(size_t{1} << n);
-    for (size_t i = 0; i < values.size(); ++i)
-        values[i] = 1e-3 * static_cast<double>(i % 97);
-    abDense("dense_diag_evo", n, repeats, spread,
-            [&](qsim::Statevector &sv) {
-                sv.applyDiagonalEvolution(values, 0.25);
-            },
-            table);
-
     // A deep coalesced diagonal block, the shape fusion emits for long
     // RZ/CP chains: the control-mask scan dominates.
     std::vector<circuit::DiagTerm> terms;
@@ -198,65 +183,6 @@ benchDense(int n, int repeats, bench::Table &table)
     abDense("dense_diag_terms", n, repeats, spread,
             [&](qsim::Statevector &sv) { sv.applyDiagonalTerms(terms); },
             table);
-}
-
-void
-benchSparse(int steps, int repeats, bench::Table &table)
-{
-    const int n = 24;
-    auto run = [&]() {
-        qsim::SparseState st(n, BitVec{});
-        for (int step = 0; step < steps; ++step) {
-            BitVec mask;
-            mask.set(step % n);
-            mask.set((step * 5 + 1) % n);
-            st.applyPairRotation(mask, BitVec{}, 0.21 + 0.007 * step,
-                                 qsim::SparseState::
-                                     kDefaultPruneThreshold);
-        }
-        return st;
-    };
-
-    std::vector<Complex> scalar_amps;
-    double scalar_ms = 0.0;
-    size_t support = 0;
-    for (qsim::SimdIsa isa : qsim::simdAvailableIsas()) {
-        if (!qsim::setSimdIsa(isa))
-            continue;
-        qsim::SparseState final_state = run();
-        support = final_state.supportSize();
-        Record &rec = timeKernel("sparse_rotation", isa, repeats, [&] {
-            qsim::SparseState s = run();
-            volatile size_t sink = s.supportSize();
-            (void)sink;
-        });
-        rec.extra.emplace_back("support",
-                               static_cast<double>(support));
-        rec.extra.emplace_back("chain_steps",
-                               static_cast<double>(steps));
-        double diff = 0.0;
-        if (isa == qsim::SimdIsa::Scalar) {
-            scalar_amps = final_state.amps();
-            scalar_ms = rec.medianMs;
-        } else {
-            diff = maxAbsDiff(final_state.amps(), scalar_amps);
-            rec.extra.emplace_back("max_abs_diff", diff);
-            rec.extra.emplace_back("speedup_vs_scalar",
-                                   rec.medianMs > 0.0
-                                       ? scalar_ms / rec.medianMs
-                                       : 0.0);
-        }
-        table.cell("sparse_rotation");
-        table.cell(rec.isa);
-        table.cell(rec.medianMs);
-        table.cell(isa == qsim::SimdIsa::Scalar
-                       ? 1.0
-                       : (rec.medianMs > 0.0 ? scalar_ms / rec.medianMs
-                                             : 0.0),
-                   "%.2f");
-        table.cell(diff, "%.1e");
-        table.endRow();
-    }
 }
 
 void
@@ -298,7 +224,6 @@ main()
     const bool fast = bench::fastMode();
     const int repeats = fast ? 5 : 7;
     const int n_dense = fast ? 16 : 20;
-    const int sparse_steps = fast ? 22 : 26;
 
     // Kernel-level A/B wants a pure single-threaded comparison; the
     // deterministic blocking makes thread count orthogonal to ISA.
@@ -313,7 +238,6 @@ main()
         {"kernel", "isa", "median_ms", "speedup", "max_diff"});
     table.printHeader();
     benchDense(n_dense, repeats, table);
-    benchSparse(sparse_steps, repeats, table);
 
     const char *env = std::getenv("RASENGAN_BENCH_JSON");
     writeJson(env && *env ? env : "BENCH_simd.json");

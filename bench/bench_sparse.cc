@@ -2,10 +2,9 @@
  * @file
  * A/B benchmark for the sparse simulation engine overhaul: the seed
  * hash-map engine (bench/legacy_sparsestate.h, preserved verbatim)
- * against the flat structure-of-arrays engine (qsim/sparsestate.h) --
- * run both scalar and, when the CPU has one, under the best vector ISA
- * (qsim/simd.h) -- plus a thread sweep over the new parallel kernels
- * and the rotation-plan cache's replay-vs-direct timing and hit rate.
+ * against the flat structure-of-arrays engine (qsim/sparsestate.h),
+ * plus a thread sweep over the new parallel kernels and the
+ * rotation-plan cache's replay-vs-direct timing and hit rate.
  *
  * Workload: the full pruned transition chain of the Figure-10
  * scalability FLP instances (up to 105 variables, maxTrackedStates
@@ -35,7 +34,6 @@
 #include "core/rasengan.h"
 #include "legacy_sparsestate.h"
 #include "problems/suite.h"
-#include "qsim/simd.h"
 #include "qsim/sparseplan.h"
 #include "qsim/sparsestate.h"
 
@@ -46,7 +44,7 @@ using namespace rasengan;
 struct Record
 {
     std::string kernel;
-    std::string variant; ///< "legacy", "soa", "soa_simd", "threads=N", ...
+    std::string variant; ///< "legacy", "soa", "threads=N", ...
     int threads = 1;
     int repeats = 0;
     double medianMs = 0.0;
@@ -191,19 +189,13 @@ benchEngineAB(const std::vector<int> &sizes, int repeats)
 {
     bench::banner("legacy hash-map vs flat SoA (single thread)");
     bench::Table table({"vars", "chain", "support", "legacy_ms", "soa_ms",
-                        "simd_ms", "speedup", "max_diff"});
+                        "speedup", "max_diff"});
     table.printHeader();
     parallel::setThreadCount(1);
-
-    // The legacy engine and the "soa" record form the stable scalar
-    // reference pair; "soa_simd" re-runs the SoA engine under the best
-    // vector ISA (when the CPU has one) and must agree bit-for-bit.
-    const bool have_simd = qsim::simdBestIsa() != qsim::SimdIsa::Scalar;
 
     for (int v : sizes) {
         ChainCase c = makeChainCase(v);
 
-        qsim::setSimdIsa(qsim::SimdIsa::Scalar);
         bench::LegacySparseState legacy_final = runLegacy(c);
         qsim::SparseState soa_final = runSoa(c);
         const double max_diff = maxAmplitudeDiff(legacy_final, soa_final);
@@ -243,41 +235,15 @@ benchEngineAB(const std::vector<int> &sizes, int repeats)
         new_rec.extra.emplace_back("max_abs_diff", max_diff);
         new_rec.extra.emplace_back("speedup_vs_legacy", speedup);
 
-        double simd_ms = 0.0;
-        if (have_simd && qsim::setSimdIsa(qsim::simdBestIsa())) {
-            qsim::SparseState simd_final = runSoa(c);
-            // The SIMD kernels are bit-identical to scalar; the recorded
-            // diff is still measured against the legacy engine so the CI
-            // gate applies uniformly to every variant.
-            const double simd_diff =
-                maxAmplitudeDiff(legacy_final, simd_final);
-            Record &simd_rec = timeKernel(
-                "chain_evolution_" + std::to_string(v), "soa_simd", 1,
-                repeats, [&] {
-                    qsim::SparseState s = runSoa(c);
-                    volatile size_t sink = s.supportSize();
-                    (void)sink;
-                });
-            simd_ms = simd_rec.medianMs;
-            commonExtras(simd_rec, simd_final.supportSize());
-            simd_rec.extra.emplace_back("max_abs_diff", simd_diff);
-            simd_rec.extra.emplace_back(
-                "speedup_vs_soa_scalar",
-                simd_ms > 0.0 ? soa_ms / simd_ms : 0.0);
-            qsim::setSimdIsa(qsim::SimdIsa::Scalar);
-        }
-
         table.cell(v);
         table.cell(static_cast<int>(c.steps.size()));
         table.cell(static_cast<int>(soa_final.supportSize()));
         table.cell(legacy_ms);
         table.cell(soa_ms);
-        table.cell(simd_ms);
         table.cell(speedup, "%.2f");
         table.cell(max_diff, "%.2e");
         table.endRow();
     }
-    qsim::setSimdIsa(qsim::simdBestIsa());
 }
 
 void

@@ -1,8 +1,9 @@
 #include "exec/checkpoint.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "common/fileio.h"
 
 namespace rasengan::exec {
 
@@ -150,22 +151,9 @@ parseCheckpoint(const std::string &text)
 Expected<bool>
 saveCheckpoint(const SegmentCheckpoint &cp, const std::string &path)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return ExecError{ErrorCode::CheckpointCorrupt,
-                             "cannot open '" + tmp + "' for writing"};
-        out << writeCheckpoint(cp);
-        if (!out)
-            return ExecError{ErrorCode::CheckpointCorrupt,
-                             "short write to '" + tmp + "'"};
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return ExecError{ErrorCode::CheckpointCorrupt,
-                         "cannot rename into '" + path + "'"};
-    }
+    std::string error;
+    if (!replaceFileAtomically(path, writeCheckpoint(cp), &error))
+        return ExecError{ErrorCode::CheckpointCorrupt, error};
     return true;
 }
 

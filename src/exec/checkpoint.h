@@ -51,7 +51,7 @@ std::string writeCheckpoint(const SegmentCheckpoint &cp);
 /** Parse the text format; recoverable on malformed input. */
 Expected<SegmentCheckpoint> parseCheckpoint(const std::string &text);
 
-/** Write @p cp to @p path (atomically via a temp file + rename). */
+/** Write @p cp to @p path atomically (common/fileio.h). */
 Expected<bool> saveCheckpoint(const SegmentCheckpoint &cp,
                               const std::string &path);
 

@@ -1,16 +1,14 @@
 /**
  * @file
- * SIMD kernel dispatch: ISA detection, RASENGAN_SIMD resolution, and
- * the active-table atomic the engines read on every hot call.
+ * SIMD kernel dispatch: ISA detection and the active-table atomic the
+ * engines read on every hot call.
  */
 
 #include "qsim/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
-#include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace rasengan::qsim {
@@ -19,50 +17,27 @@ namespace {
 const SimdKernels *
 tableFor(SimdIsa isa)
 {
-    switch (isa) {
-      case SimdIsa::Scalar:
-        return detail::simdScalarTable();
-      case SimdIsa::Avx2:
-        return detail::simdAvx2Table();
-      case SimdIsa::Neon:
-        return detail::simdNeonTable();
-    }
-    return nullptr;
-}
-
-bool
-cpuSupports(SimdIsa isa)
-{
-    switch (isa) {
-      case SimdIsa::Scalar:
-        return true;
-      case SimdIsa::Avx2:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-      case SimdIsa::Neon:
-        // NEON is baseline on aarch64, so a compiled-in table implies
-        // CPU support.
-        return true;
-    }
-    return false;
+    return isa == SimdIsa::Avx2 ? detail::simdAvx2Table()
+                                : detail::simdScalarTable();
 }
 
 bool
 usable(SimdIsa isa)
 {
-    return tableFor(isa) != nullptr && cpuSupports(isa);
+    if (tableFor(isa) == nullptr)
+        return false;
+#if defined(__x86_64__) || defined(__i386__)
+    if (isa == SimdIsa::Avx2)
+        return __builtin_cpu_supports("avx2") != 0;
+#endif
+    return true;
 }
 
 /** Mark @p isa active (1) and every other ISA inactive (0). */
 void
 publishIsaGauges(SimdIsa active)
 {
-    static const SimdIsa kAll[] = {SimdIsa::Scalar, SimdIsa::Avx2,
-                                   SimdIsa::Neon};
-    for (SimdIsa isa : kAll) {
+    for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2}) {
         obs::Registry::global()
             .gauge("simd_isa_info",
                    "Active SIMD kernel ISA (1 = active)",
@@ -73,20 +48,6 @@ publishIsaGauges(SimdIsa active)
 
 std::atomic<const SimdKernels *> g_active{nullptr};
 
-/** Resolve RASENGAN_SIMD (default auto) exactly once. */
-const SimdKernels *
-resolveInitial()
-{
-    const char *env = std::getenv("RASENGAN_SIMD");
-    std::string spec = (env != nullptr && *env != '\0') ? env : "auto";
-    std::string error;
-    if (!selectSimdIsa(spec, &error)) {
-        warn("RASENGAN_SIMD: {}; falling back to auto", error);
-        selectSimdIsa("auto");
-    }
-    return g_active.load(std::memory_order_acquire);
-}
-
 const SimdKernels *
 activeTable()
 {
@@ -94,7 +55,7 @@ activeTable()
     if (t != nullptr)
         return t;
     static std::once_flag once;
-    std::call_once(once, [] { resolveInitial(); });
+    std::call_once(once, [] { setSimdIsa(simdBestIsa()); });
     return g_active.load(std::memory_order_acquire);
 }
 
@@ -103,15 +64,7 @@ activeTable()
 const char *
 simdIsaName(SimdIsa isa)
 {
-    switch (isa) {
-      case SimdIsa::Scalar:
-        return "scalar";
-      case SimdIsa::Avx2:
-        return "avx2";
-      case SimdIsa::Neon:
-        return "neon";
-    }
-    return "unknown";
+    return isa == SimdIsa::Avx2 ? "avx2" : "scalar";
 }
 
 const SimdKernels &
@@ -129,11 +82,7 @@ simdActiveIsa()
 SimdIsa
 simdBestIsa()
 {
-    if (usable(SimdIsa::Avx2))
-        return SimdIsa::Avx2;
-    if (usable(SimdIsa::Neon))
-        return SimdIsa::Neon;
-    return SimdIsa::Scalar;
+    return usable(SimdIsa::Avx2) ? SimdIsa::Avx2 : SimdIsa::Scalar;
 }
 
 std::vector<SimdIsa>
@@ -142,8 +91,6 @@ simdAvailableIsas()
     std::vector<SimdIsa> out{SimdIsa::Scalar};
     if (usable(SimdIsa::Avx2))
         out.push_back(SimdIsa::Avx2);
-    if (usable(SimdIsa::Neon))
-        out.push_back(SimdIsa::Neon);
     return out;
 }
 
@@ -154,33 +101,6 @@ setSimdIsa(SimdIsa isa)
         return false;
     g_active.store(tableFor(isa), std::memory_order_release);
     publishIsaGauges(isa);
-    return true;
-}
-
-bool
-selectSimdIsa(const std::string &spec, std::string *error)
-{
-    SimdIsa isa;
-    if (spec == "auto") {
-        isa = simdBestIsa();
-    } else if (spec == "scalar") {
-        isa = SimdIsa::Scalar;
-    } else if (spec == "avx2") {
-        isa = SimdIsa::Avx2;
-    } else if (spec == "neon") {
-        isa = SimdIsa::Neon;
-    } else {
-        if (error != nullptr)
-            *error = "unknown SIMD spec '" + spec +
-                     "' (want auto|avx2|neon|scalar)";
-        return false;
-    }
-    if (!setSimdIsa(isa)) {
-        if (error != nullptr)
-            *error = std::string(simdIsaName(isa)) +
-                     " is not available on this build/CPU";
-        return false;
-    }
     return true;
 }
 

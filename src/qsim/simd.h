@@ -1,14 +1,22 @@
 /**
  * @file
- * SIMD kernel tier: runtime-dispatched amplitude kernels.
+ * SIMD kernel tier: runtime-dispatched dense amplitude kernels, plus
+ * the scalar-only sparse and diagonal-evolution kernels.
  *
- * Every hot amplitude loop of the dense and sparse engines is routed
- * through a table of kernel function pointers (SimdKernels).  The table
- * has one implementation per instruction set -- scalar (always built),
- * AVX2 (x86-64, built when the compiler supports -mavx2 and selected
- * only when the CPU reports the feature), NEON (aarch64) -- living in
- * per-ISA translation units so each can be compiled with its own
- * codegen flags without perturbing the rest of the build.
+ * The dense engine's three hottest loops -- the strided and adjacent
+ * 1q pair rotations and the coalesced diagonal block -- are routed
+ * through a table of kernel function pointers (SimdKernels).  The
+ * table has one implementation per instruction set -- scalar (always
+ * built) and AVX2 (x86-64, built when the compiler supports -mavx2 and
+ * selected only when the CPU reports the feature) -- living in per-ISA
+ * translation units so each can be compiled with its own codegen flags
+ * without perturbing the rest of the build.
+ *
+ * The sparse pass-1 classify, the gathered sparse pair rotation and
+ * the dense diagonal evolution have no vector arm: on the supports the
+ * sparse engine sees (tens to a few thousand states) a vector arm does
+ * not beat the scalar loop.  They are plain functions, defined in
+ * simd_scalar.cc so they share its -ffp-contract=off codegen.
  *
  * Determinism contract.  Results are bit-identical across ISAs and
  * thread counts:
@@ -25,15 +33,14 @@
  *    (common/parallel.h): they receive chunk ranges and write disjoint
  *    data, so the thread count only reschedules identical work.
  *
- * Selection: RASENGAN_SIMD=auto|avx2|neon|scalar (default auto = best
- * ISA the build and the CPU both support), overridable at runtime with
- * setSimdIsa()/selectSimdIsa() (the CLI --simd flag).  The active ISA
- * is published as the obs gauge `simd_isa_info{isa=...}` and recorded
- * in trace metadata by the CLI/daemon entry points.
+ * Selection: the best ISA the build and the CPU both support, detected
+ * on first use.  setSimdIsa() overrides it (tests and benches compare
+ * arms through it).  The active ISA is published as the obs gauge
+ * `simd_isa_info{isa=...}` and recorded in trace metadata by the
+ * CLI/daemon entry points.
  *
  * Switching ISAs while simulation kernels are executing is not
- * supported; callers switch between runs (tests, benches, process
- * startup).
+ * supported; callers switch between runs (tests, benches).
  */
 
 #ifndef RASENGAN_QSIM_SIMD_H
@@ -41,7 +48,6 @@
 
 #include <complex>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,22 +60,10 @@ namespace rasengan::qsim {
 enum class SimdIsa : int {
     Scalar = 0,
     Avx2 = 1,
-    Neon = 2,
 };
 
-/** "scalar", "avx2", "neon". */
+/** "scalar", "avx2". */
 const char *simdIsaName(SimdIsa isa);
-
-/** Roles of a populated sparse state under one transition; shared by
- *  the classify kernels and SparseState::applyPairRotation. */
-enum SimdRole : uint8_t {
-    kSimdRoleDark = 0,
-    kSimdRolePlus = 1,
-    kSimdRoleMinus = 2,
-};
-
-/** Partner-index sentinel: the partner basis state is unpopulated. */
-constexpr uint32_t kSimdAbsent = UINT32_MAX;
 
 /**
  * The per-ISA kernel table.  All Complex arrays are the engines' native
@@ -102,22 +96,6 @@ struct SimdKernels
                                const Mat2 &u);
 
     /**
-     * Batched complex multiply: amps[i] *= factors[i] for i in [0, n),
-     * expanded as (ar*br - ai*bi, ai*br + ar*bi).  The primitive behind
-     * the diagonal kernels; also exercised directly by the tail-fuzz
-     * tests.
-     */
-    void (*cmulArray)(Complex *amps, const Complex *factors, uint64_t n);
-
-    /**
-     * Diagonal evolution: amps[i] *= e^{-i*scale*values[i]} for i in
-     * [i0, i1).  The complex exponential is evaluated by scalar libm in
-     * every arm; the multiply vectorizes.
-     */
-    void (*diagonalEvolution)(Complex *amps, const double *values,
-                              double scale, uint64_t i0, uint64_t i1);
-
-    /**
      * Coalesced diagonal block (fusion output): for i in [i0, i1),
      * accumulate the phase of every matching DiagTerm and multiply by
      * e^{i*angle} -- skipping (leaving bitwise untouched) amplitudes
@@ -126,40 +104,15 @@ struct SimdKernels
      */
     void (*diagonalTerms)(Complex *amps, const circuit::DiagTerm *terms,
                           size_t num_terms, uint64_t i0, uint64_t i1);
-
-    /**
-     * Sparse pass 1: for i in [i0, i1) classify keys[i] against the
-     * transition support (role[i] in {dark, plus, minus}) and, for
-     * non-dark states, lower-bound search the full sorted key array
-     * [0, n) for the partner keys[i]^mask (partner[i] = index, or
-     * kSimdAbsent when unpopulated).  The AVX2 arm batches four
-     * searches through a gather-based branchless lower bound.
-     */
-    void (*sparseClassify)(const BitVec *keys, uint64_t n, uint64_t i0,
-                           uint64_t i1, const BitVec &mask,
-                           const BitVec &pattern_plus,
-                           const BitVec &pattern_minus, uint8_t *role,
-                           uint32_t *partner);
-
-    /**
-     * Sparse pass 5 / plan replay: gathered pair rotation.  For p in
-     * [p0, p1), rotate the (plus, minus) amplitude pair at indices
-     * pairs[p] by angle t: a_plus' = c*a_plus + ms*a_minus and
-     * symmetrically, with c = cos(t) and ms = -i*sin(t).
-     */
-    void (*sparsePairRotate)(Complex *amps,
-                             const std::pair<uint32_t, uint32_t> *pairs,
-                             uint64_t p0, uint64_t p1, double c,
-                             Complex ms);
 };
 
-/** The active kernel table (resolving RASENGAN_SIMD on first use). */
+/** The active kernel table (auto-detected on first use). */
 const SimdKernels &simdKernels();
 
-/** The active ISA (resolving RASENGAN_SIMD on first use). */
+/** The active ISA (auto-detected on first use). */
 SimdIsa simdActiveIsa();
 
-/** Best ISA this build and CPU support (what `auto` resolves to). */
+/** Best ISA this build and CPU support (the first-use default). */
 SimdIsa simdBestIsa();
 
 /** Every ISA usable on this build/CPU, scalar first. */
@@ -172,19 +125,58 @@ std::vector<SimdIsa> simdAvailableIsas();
  */
 bool setSimdIsa(SimdIsa isa);
 
+/// @name Scalar-only kernels
+/// @{
+
+/** Roles of a populated sparse state under one transition; shared by
+ *  sparseClassify and SparseState::applyPairRotation. */
+enum SparseRole : uint8_t {
+    kSparseRoleDark = 0,
+    kSparseRolePlus = 1,
+    kSparseRoleMinus = 2,
+};
+
+/** Partner-index sentinel: the partner basis state is unpopulated. */
+constexpr uint32_t kSparseAbsent = UINT32_MAX;
+
 /**
- * Parse and activate a RASENGAN_SIMD / --simd spec
- * ("auto"|"avx2"|"neon"|"scalar").  Returns false and fills @p error
- * on an unknown name or an unsupported ISA.
+ * Sparse pass 1: for i in [i0, i1) classify keys[i] against the
+ * transition support (role[i] in {dark, plus, minus}) and, for
+ * non-dark states, lower-bound search the full sorted key array
+ * [0, n) for the partner keys[i]^mask (partner[i] = index, or
+ * kSparseAbsent when unpopulated).
  */
-bool selectSimdIsa(const std::string &spec, std::string *error = nullptr);
+void sparseClassify(const BitVec *keys, uint64_t n, uint64_t i0,
+                    uint64_t i1, const BitVec &mask,
+                    const BitVec &pattern_plus,
+                    const BitVec &pattern_minus, uint8_t *role,
+                    uint32_t *partner);
+
+/**
+ * Sparse pass 5 / plan replay: gathered pair rotation.  For p in
+ * [p0, p1), rotate the (plus, minus) amplitude pair at indices
+ * pairs[p] by angle t: a_plus' = c*a_plus + ms*a_minus and
+ * symmetrically, with c = cos(t) and ms = -i*sin(t).
+ */
+void sparsePairRotate(std::complex<double> *amps,
+                      const std::pair<uint32_t, uint32_t> *pairs,
+                      uint64_t p0, uint64_t p1, double c,
+                      std::complex<double> ms);
+
+/**
+ * Dense diagonal evolution: amps[i] *= e^{-i*scale*values[i]} for i in
+ * [i0, i1).
+ */
+void diagonalEvolution(std::complex<double> *amps, const double *values,
+                       double scale, uint64_t i0, uint64_t i1);
+
+/// @}
 
 namespace detail {
 
 /** Per-ISA tables; null when the ISA is not compiled into this build. */
 const SimdKernels *simdScalarTable();
 const SimdKernels *simdAvx2Table();
-const SimdKernels *simdNeonTable();
 
 } // namespace detail
 

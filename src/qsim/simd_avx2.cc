@@ -1,8 +1,8 @@
 /**
  * @file
  * AVX2 ISA table.  Two interleaved complex<double> amplitudes per ymm
- * register; 256-bit integer compares and 64-bit gathers drive the
- * sparse classify/search kernel.
+ * register for the pair rotations; 256-bit integer compares drive the
+ * diagonal block's control-mask scan, four indices at a time.
  *
  * Determinism: every lane reproduces the scalar reference arithmetic of
  * simd_generic.h -- same multiplies, same adds, same per-element
@@ -106,42 +106,6 @@ pairRotateAdjacent(Complex *amps, uint64_t h0, uint64_t h1,
 }
 
 void
-cmulArray(Complex *amps, const Complex *factors, uint64_t n)
-{
-    double *d = reinterpret_cast<double *>(amps);
-    const double *f = reinterpret_cast<const double *>(factors);
-    uint64_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m256d v = _mm256_loadu_pd(d + 2 * i);
-        __m256d w = _mm256_loadu_pd(f + 2 * i);
-        _mm256_storeu_pd(d + 2 * i, cmul4(v, w));
-    }
-    for (; i < n; ++i)
-        amps[i] = simd_generic::cmul(amps[i], factors[i]);
-}
-
-void
-diagonalEvolution(Complex *amps, const double *values, double scale,
-                  uint64_t i0, uint64_t i1)
-{
-    // The e^{i*angle} factors come from the same scalar libm call as
-    // every other arm; only the complex multiply vectorizes.
-    double *d = reinterpret_cast<double *>(amps);
-    uint64_t i = i0;
-    for (; i + 2 <= i1; i += 2) {
-        const Complex f0 =
-            simd_generic::phaseFactor(-scale * values[i]);
-        const Complex f1 =
-            simd_generic::phaseFactor(-scale * values[i + 1]);
-        __m256d f = _mm256_setr_pd(f0.real(), f0.imag(), f1.real(),
-                                   f1.imag());
-        __m256d v = _mm256_loadu_pd(d + 2 * i);
-        _mm256_storeu_pd(d + 2 * i, cmul4(v, f));
-    }
-    simd_generic::diagonalEvolution(amps, values, scale, i, i1);
-}
-
-void
 diagonalTerms(Complex *amps, const circuit::DiagTerm *terms,
               size_t num_terms, uint64_t i0, uint64_t i1)
 {
@@ -186,152 +150,11 @@ diagonalTerms(Complex *amps, const circuit::DiagTerm *terms,
     simd_generic::diagonalTerms(amps, terms, num_terms, i, i1);
 }
 
-/**
- * Branchless lower bound for four 128-bit keys in lockstep, the exact
- * vector transcription of simd_generic::lowerBound.  BitVec is two
- * u64 words in memory, low first, compared high-word-major unsigned;
- * unsigned order comes from signed _mm256_cmpgt_epi64 after biasing
- * both sides by 2^63.  Requires n >= 1.
- */
-inline void
-lowerBound4(const BitVec *keys, uint64_t n, const BitVec q[4],
-            uint64_t out[4])
-{
-    const long long *kb = reinterpret_cast<const long long *>(keys);
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i qlo =
-        _mm256_setr_epi64x(static_cast<long long>(q[0].low64()),
-                           static_cast<long long>(q[1].low64()),
-                           static_cast<long long>(q[2].low64()),
-                           static_cast<long long>(q[3].low64()));
-    const __m256i qhi =
-        _mm256_setr_epi64x(static_cast<long long>(q[0].high64()),
-                           static_cast<long long>(q[1].high64()),
-                           static_cast<long long>(q[2].high64()),
-                           static_cast<long long>(q[3].high64()));
-    const __m256i qlo_b = _mm256_xor_si256(qlo, bias);
-    const __m256i qhi_b = _mm256_xor_si256(qhi, bias);
-
-    // keys[probe] < q, as a full-width lane mask.
-    auto key_lt = [&](__m256i probe) {
-        __m256i lo_idx = _mm256_slli_epi64(probe, 1);
-        __m256i hi_idx = _mm256_or_si256(lo_idx, one);
-        __m256i klo = _mm256_i64gather_epi64(kb, lo_idx, 8);
-        __m256i khi = _mm256_i64gather_epi64(kb, hi_idx, 8);
-        __m256i hi_lt = _mm256_cmpgt_epi64(qhi_b,
-                                           _mm256_xor_si256(khi, bias));
-        __m256i hi_eq = _mm256_cmpeq_epi64(khi, qhi);
-        __m256i lo_lt = _mm256_cmpgt_epi64(qlo_b,
-                                           _mm256_xor_si256(klo, bias));
-        return _mm256_or_si256(hi_lt, _mm256_and_si256(hi_eq, lo_lt));
-    };
-
-    __m256i base = _mm256_setzero_si256();
-    uint64_t len = n;
-    while (len > 1) {
-        const uint64_t half = len >> 1;
-        __m256i probe = _mm256_add_epi64(
-            base,
-            _mm256_set1_epi64x(static_cast<long long>(half - 1)));
-        __m256i lt = key_lt(probe);
-        base = _mm256_add_epi64(
-            base,
-            _mm256_and_si256(
-                lt, _mm256_set1_epi64x(static_cast<long long>(half))));
-        len -= half;
-    }
-    // result = base + (keys[base] < q); the lt mask is -1 where true.
-    __m256i res = _mm256_sub_epi64(base, key_lt(base));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), res);
-}
-
-void
-sparseClassify(const BitVec *keys, uint64_t n, uint64_t i0, uint64_t i1,
-               const BitVec &mask, const BitVec &pattern_plus,
-               const BitVec &pattern_minus, uint8_t *role,
-               uint32_t *partner)
-{
-    uint64_t pend_i[4];
-    BitVec pend_q[4];
-    alignas(32) uint64_t found[4];
-    int npend = 0;
-
-    auto flush = [&]() {
-        if (npend == 4) {
-            lowerBound4(keys, n, pend_q, found);
-        } else {
-            for (int k = 0; k < npend; ++k)
-                found[k] =
-                    simd_generic::lowerBound(keys, n, pend_q[k]);
-        }
-        for (int k = 0; k < npend; ++k) {
-            const uint64_t j = found[k];
-            partner[pend_i[k]] =
-                (j < n && keys[j] == pend_q[k])
-                    ? static_cast<uint32_t>(j)
-                    : kSimdAbsent;
-        }
-        npend = 0;
-    };
-
-    for (uint64_t i = i0; i < i1; ++i) {
-        const BitVec restricted = keys[i] & mask;
-        if (restricted == pattern_plus) {
-            role[i] = kSimdRolePlus;
-        } else if (restricted == pattern_minus) {
-            role[i] = kSimdRoleMinus;
-        } else {
-            role[i] = kSimdRoleDark;
-            continue;
-        }
-        pend_i[npend] = i;
-        pend_q[npend] = keys[i] ^ mask;
-        if (++npend == 4)
-            flush();
-    }
-    flush();
-}
-
-void
-sparsePairRotate(Complex *amps,
-                 const std::pair<uint32_t, uint32_t> *pairs, uint64_t p0,
-                 uint64_t p1, double c, Complex ms)
-{
-    // Two gathered pairs per iteration.  Pairs are disjoint (every
-    // amplitude slot belongs to at most one), so the four 128-bit
-    // loads/stores never alias within a batch.
-    double *d = reinterpret_cast<double *>(amps);
-    const __m256d vc = _mm256_set1_pd(c);
-    const __m256d vms = broadcastComplex(ms);
-    uint64_t p = p0;
-    for (; p + 2 <= p1; p += 2) {
-        const uint64_t ip0 = pairs[p].first, im0 = pairs[p].second;
-        const uint64_t ip1 = pairs[p + 1].first,
-                       im1 = pairs[p + 1].second;
-        __m256d ap = _mm256_set_m128d(_mm_loadu_pd(d + 2 * ip1),
-                                      _mm_loadu_pd(d + 2 * ip0));
-        __m256d am = _mm256_set_m128d(_mm_loadu_pd(d + 2 * im1),
-                                      _mm_loadu_pd(d + 2 * im0));
-        __m256d np =
-            _mm256_add_pd(_mm256_mul_pd(vc, ap), cmul4(vms, am));
-        __m256d nm =
-            _mm256_add_pd(_mm256_mul_pd(vc, am), cmul4(vms, ap));
-        _mm_storeu_pd(d + 2 * ip0, _mm256_castpd256_pd128(np));
-        _mm_storeu_pd(d + 2 * ip1, _mm256_extractf128_pd(np, 1));
-        _mm_storeu_pd(d + 2 * im0, _mm256_castpd256_pd128(nm));
-        _mm_storeu_pd(d + 2 * im1, _mm256_extractf128_pd(nm, 1));
-    }
-    for (; p < p1; ++p)
-        simd_generic::rotateSparsePair(amps[pairs[p].first],
-                                       amps[pairs[p].second], c, ms);
-}
-
 const SimdKernels kAvx2Kernels = {
-    SimdIsa::Avx2,       &pairRotateStrided, &pairRotateAdjacent,
-    &cmulArray,          &diagonalEvolution, &diagonalTerms,
-    &sparseClassify,     &sparsePairRotate,
+    SimdIsa::Avx2,
+    &pairRotateStrided,
+    &pairRotateAdjacent,
+    &diagonalTerms,
 };
 
 } // namespace

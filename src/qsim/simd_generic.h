@@ -6,9 +6,9 @@
  * every vector arm must reproduce: complex products expand to
  * (ar*br - ai*bi, ai*br + ar*bi), sums stay in the written order, and
  * nothing is reassociated.  The scalar ISA table is a thin wrapper
- * around them; the AVX2/NEON translation units include this header for
- * their sub-vector-width tails, so a tail element and a full-width lane
- * go through literally the same arithmetic.
+ * around them; the AVX2 translation unit includes this header for its
+ * sub-vector-width tails, so a tail element and a full-width lane go
+ * through literally the same arithmetic.
  *
  * This header is only included from simd_*.cc translation units, all of
  * which are compiled with -ffp-contract=off (see src/qsim/CMakeLists);
@@ -68,26 +68,11 @@ pairRotateAdjacent(Complex *amps, uint64_t h0, uint64_t h1, const Mat2 &u)
         rotatePair(amps[2 * h], amps[2 * h + 1], u);
 }
 
-inline void
-cmulArray(Complex *amps, const Complex *factors, uint64_t n)
-{
-    for (uint64_t i = 0; i < n; ++i)
-        amps[i] = cmul(amps[i], factors[i]);
-}
-
 /** e^{i*angle} via scalar libm; identical in every arm. */
 inline Complex
 phaseFactor(double angle)
 {
     return std::exp(Complex{0.0, 1.0} * angle);
-}
-
-inline void
-diagonalEvolution(Complex *amps, const double *values, double scale,
-                  uint64_t i0, uint64_t i1)
-{
-    for (uint64_t i = i0; i < i1; ++i)
-        amps[i] = cmul(amps[i], phaseFactor(-scale * values[i]));
 }
 
 /** Phase of basis index i under one coalesced diagonal block. */
@@ -112,80 +97,6 @@ diagonalTerms(Complex *amps, const circuit::DiagTerm *terms,
         if (angle != 0.0)
             amps[i] = cmul(amps[i], phaseFactor(angle));
     }
-}
-
-/**
- * Branchless lower bound (first index with keys[idx] >= q, or n).
- * Both the scalar arm and the vector arms' tails use this; the AVX2
- * batched search computes the same quantity four queries at a time.
- */
-inline uint64_t
-lowerBound(const BitVec *keys, uint64_t n, const BitVec &q)
-{
-    if (n == 0)
-        return 0;
-    uint64_t base = 0;
-    uint64_t len = n;
-    while (len > 1) {
-        const uint64_t half = len >> 1;
-        if (keys[base + half - 1] < q)
-            base += half;
-        len -= half;
-    }
-    return base + (keys[base] < q ? 1 : 0);
-}
-
-/** Classify + partner-search one populated state (sparse pass 1). */
-inline void
-classifyOne(const BitVec *keys, uint64_t n, uint64_t i, const BitVec &mask,
-            const BitVec &pattern_plus, const BitVec &pattern_minus,
-            uint8_t *role, uint32_t *partner)
-{
-    const BitVec restricted = keys[i] & mask;
-    if (restricted == pattern_plus) {
-        role[i] = kSimdRolePlus;
-    } else if (restricted == pattern_minus) {
-        role[i] = kSimdRoleMinus;
-    } else {
-        role[i] = kSimdRoleDark;
-        return;
-    }
-    const BitVec q = keys[i] ^ mask;
-    const uint64_t j = lowerBound(keys, n, q);
-    partner[i] = (j < n && keys[j] == q) ? static_cast<uint32_t>(j)
-                                         : kSimdAbsent;
-}
-
-inline void
-sparseClassify(const BitVec *keys, uint64_t n, uint64_t i0, uint64_t i1,
-               const BitVec &mask, const BitVec &pattern_plus,
-               const BitVec &pattern_minus, uint8_t *role,
-               uint32_t *partner)
-{
-    for (uint64_t i = i0; i < i1; ++i)
-        classifyOne(keys, n, i, mask, pattern_plus, pattern_minus, role,
-                    partner);
-}
-
-/** One gathered pair rotation: a+' = c*a+ + ms*a-, a-' = c*a- + ms*a+. */
-inline void
-rotateSparsePair(Complex &ap, Complex &am, double c, const Complex &ms)
-{
-    const Complex sp{c * ap.real(), c * ap.imag()};
-    const Complex sm{c * am.real(), c * am.imag()};
-    const Complex xp = cmul(ms, am);
-    const Complex xm = cmul(ms, ap);
-    ap = Complex{sp.real() + xp.real(), sp.imag() + xp.imag()};
-    am = Complex{sm.real() + xm.real(), sm.imag() + xm.imag()};
-}
-
-inline void
-sparsePairRotate(Complex *amps, const std::pair<uint32_t, uint32_t> *pairs,
-                 uint64_t p0, uint64_t p1, double c, Complex ms)
-{
-    for (uint64_t p = p0; p < p1; ++p)
-        rotateSparsePair(amps[pairs[p].first], amps[pairs[p].second], c,
-                         ms);
 }
 
 } // namespace rasengan::qsim::simd_generic

@@ -52,12 +52,11 @@ replaySegmentPlan(const SparseSegmentPlan &plan, const double *times,
                                                    : cur[src];
                 }
             });
-        const SimdKernels &kern = simdKernels();
         parallel::parallelFor(
             0, sp.pairs.size(), parallel::kDefaultGrain,
             [&](uint64_t b, uint64_t e) {
-                kern.sparsePairRotate(next.data(), sp.pairs.data(), b, e,
-                                      c, ms);
+                sparsePairRotate(next.data(), sp.pairs.data(), b, e, c,
+                                 ms);
             });
         cur.swap(next);
         if (prune_threshold > 0.0) {

@@ -13,16 +13,6 @@ namespace rasengan::qsim {
 namespace {
 
 constexpr SparseState::Complex kI{0.0, 1.0};
-constexpr uint32_t kAbsent = UINT32_MAX;
-
-/** Roles of a populated state under one transition. */
-enum Role : uint8_t { kDark = 0, kPlus = 1, kMinus = 2 };
-
-// The SIMD classify kernel writes these values directly.
-static_assert(uint8_t{kDark} == uint8_t{kSimdRoleDark} &&
-              uint8_t{kPlus} == uint8_t{kSimdRolePlus} &&
-              uint8_t{kMinus} == uint8_t{kSimdRoleMinus});
-static_assert(kAbsent == kSimdAbsent);
 
 } // namespace
 
@@ -145,8 +135,9 @@ SparseState::applyPairRotation(const BitVec &mask,
     const Complex ms = -kI * std::sin(t);
 
     const uint64_t n = keys_.size();
-    fatal_if(n >= kAbsent / 2, "sparse support of {} states overflows the "
-             "32-bit pair-plan index space", n);
+    fatal_if(n >= kSparseAbsent / 2,
+             "sparse support of {} states overflows the 32-bit pair-plan "
+             "index space", n);
 
     // Pass 1 (parallel): classify every populated state and locate its
     // partner in the sorted key array -- one binary search instead of
@@ -155,11 +146,10 @@ SparseState::applyPairRotation(const BitVec &mask,
     std::vector<uint32_t> &partner = scratch_.partnerIdx;
     role.resize(n);
     partner.resize(n);
-    const SimdKernels &kern = simdKernels();
     parallel::parallelFor(
         0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-            kern.sparseClassify(keys_.data(), n, b, e, mask, pattern_plus,
-                                pattern_minus, role.data(), partner.data());
+            sparseClassify(keys_.data(), n, b, e, mask, pattern_plus,
+                           pattern_minus, role.data(), partner.data());
         });
 
     // Pass 2 (serial, index order): enumerate each unordered pair once
@@ -171,19 +161,20 @@ SparseState::applyPairRotation(const BitVec &mask,
     pairs.clear();
     size_t both_populated = 0;
     for (uint64_t i = 0; i < n; ++i) {
-        if (role[i] == kDark)
+        if (role[i] == kSparseRoleDark)
             continue;
-        if (role[i] == kPlus) {
-            if (partner[i] != kAbsent) {
+        if (role[i] == kSparseRolePlus) {
+            if (partner[i] != kSparseAbsent) {
                 pairs.emplace_back(static_cast<uint32_t>(i), partner[i]);
                 ++both_populated;
             } else {
                 created.push_back({keys_[i] ^ mask,
-                                   static_cast<uint32_t>(i), kMinus});
+                                   static_cast<uint32_t>(i),
+                                   kSparseRoleMinus});
             }
-        } else if (partner[i] == kAbsent) {
+        } else if (partner[i] == kSparseAbsent) {
             created.push_back({keys_[i] ^ mask, static_cast<uint32_t>(i),
-                               kPlus});
+                               kSparseRolePlus});
         }
         // minus member with a populated plus partner: handled above.
     }
@@ -264,7 +255,7 @@ SparseState::applyPairRotation(const BitVec &mask,
     }
     for (uint64_t j = 0; j < n_created; ++j) {
         uint32_t src = old_to_new[created[j].src];
-        if (created[j].side == kMinus)
+        if (created[j].side == kSparseRoleMinus)
             pairs.emplace_back(src, created_new[j]);
         else
             pairs.emplace_back(created_new[j], src);
@@ -275,8 +266,7 @@ SparseState::applyPairRotation(const BitVec &mask,
     parallel::parallelFor(
         0, pairs.size(), parallel::kDefaultGrain,
         [&](uint64_t b, uint64_t e) {
-            kern.sparsePairRotate(next_amps.data(), pairs.data(), b, e,
-                                  c, ms);
+            sparsePairRotate(next_amps.data(), pairs.data(), b, e, c, ms);
         });
 
     if (record)

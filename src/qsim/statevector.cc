@@ -314,11 +314,9 @@ Statevector::applyDiagonalEvolution(const std::vector<double> &values,
     fatal_if(values.size() != amps_.size(),
              "diagonal has {} entries, state has {}", values.size(),
              amps_.size());
-    const SimdKernels &kern = simdKernels();
     parallel::parallelFor(0, amps_.size(), kGateGrain,
                           [&](uint64_t i0, uint64_t i1) {
-        kern.diagonalEvolution(amps_.data(), values.data(), scale, i0,
-                               i1);
+        diagonalEvolution(amps_.data(), values.data(), scale, i0, i1);
     });
 }
 

@@ -847,10 +847,13 @@ Daemon::handleSubmit(Conn &conn, const std::string &line)
         {
             std::lock_guard<std::mutex> lock(journalMutex_);
             if (journal_.isOpen()) {
-                uint64_t seq =
+                const uint64_t seq =
                     journal_.appendAccepted(req, prep.job.fingerprint);
-                journal_.appendShed(seq, req.id, "deadline-unmeetable",
-                                    shedded.reason);
+                if (seq == 0 ||
+                    !journal_.appendShed(seq, req.id, "deadline-unmeetable",
+                                         shedded.reason))
+                    warn("daemon: cannot journal the shed of job '{}'",
+                         req.id);
             }
         }
         obs::instantEvent("daemon", "shed", req.id);
@@ -882,6 +885,12 @@ Daemon::handleSubmit(Conn &conn, const std::string &line)
                 journal_.appendAccepted(req, job.prepared.fingerprint);
         else
             job.journalSeq = arrivalCounter_; // unique: tracks arrivals
+    }
+    if (job.journalSeq == 0) {
+        // Never acknowledge a job the journal does not hold.
+        admission_.release();
+        admission_.releaseCost(job.slo.costUnits);
+        return reject("cannot journal the request", "journal");
     }
     job.slo.seq = job.journalSeq;
     statAccepted_.fetch_add(1, std::memory_order_relaxed);
@@ -987,8 +996,9 @@ Daemon::runOne(QueuedJob job)
     const JobRequest &req = job.prepared.req;
     {
         std::lock_guard<std::mutex> lock(journalMutex_);
-        if (journal_.isOpen())
-            journal_.appendRunning(job.journalSeq, req.id);
+        if (journal_.isOpen() &&
+            !journal_.appendRunning(job.journalSeq, req.id))
+            warn("daemon: cannot journal the start of job '{}'", req.id);
     }
 
     // Arm the cooperative deadline: the tighter of the remaining SLO
@@ -1058,9 +1068,11 @@ Daemon::finishJob(const QueuedJob &job, const JobResult &result,
     } else {
         {
             std::lock_guard<std::mutex> lock(journalMutex_);
-            if (journal_.isOpen())
-                journal_.appendDone(job.journalSeq, job.prepared.req.id,
-                                    line);
+            if (journal_.isOpen() &&
+                !journal_.appendDone(job.journalSeq, job.prepared.req.id,
+                                     line))
+                warn("daemon: cannot journal the result of job '{}'",
+                     job.prepared.req.id);
         }
         if (resultsFile_ != nullptr) {
             std::fwrite(line.data(), 1, line.size(), resultsFile_);

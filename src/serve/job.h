@@ -144,7 +144,8 @@ struct JobResult
     bool accepted = false;
     std::string rejectReason; ///< set when !accepted
     /** Machine-readable rejection class when !accepted: "validation",
-     *  "admission", or "deadline-unmeetable" (load shed). */
+     *  "admission", "deadline-unmeetable" (load shed), or "journal"
+     *  (the daemon could not journal the request). */
     std::string rejectCode;
     double costUnits = 0.0;   ///< admission cost estimate
     /// @}

@@ -1,11 +1,12 @@
 #include "serve/journal.h"
 
-#include <cstdio>
 #include <fstream>
 #include <unordered_map>
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include "common/fileio.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "serve/jsonl.h"
@@ -18,6 +19,9 @@ struct JournalCounters
 {
     obs::Counter &appends = obs::Registry::global().counter(
         "serve_journal_appends_total", "Records appended to the journal");
+    obs::Counter &appendFailures = obs::Registry::global().counter(
+        "serve_journal_append_failures_total",
+        "Journal records that could not be written or synced");
     obs::Counter &replayMalformed = obs::Registry::global().counter(
         "serve_journal_replay_malformed_total",
         "Malformed records skipped during journal replay");
@@ -71,9 +75,10 @@ bool
 Journal::open(const std::string &path, uint64_t next_seq,
               std::string *error)
 {
-    panic_if(file_ != nullptr, "Journal::open called twice");
-    file_ = std::fopen(path.c_str(), "ab");
-    if (file_ == nullptr) {
+    panic_if(fd_ >= 0, "Journal::open called twice");
+    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0) {
         if (error != nullptr)
             *error = "cannot open journal " + path + " for append";
         return false;
@@ -83,19 +88,24 @@ Journal::open(const std::string &path, uint64_t next_seq,
     return true;
 }
 
-void
+bool
 Journal::appendLine(const std::string &line)
 {
-    // Caller holds mutex_.  Flush pushes the record into the kernel;
+    // Caller holds mutex_.  write() pushes the record into the kernel;
     // fdatasync makes it survive power loss, not just a SIGKILL.  One
     // syscall pair per record is affordable: journal appends are
     // O(jobs), job execution is O(seconds).
-    panic_if(file_ == nullptr, "Journal append before open");
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-    std::fflush(file_);
-    ::fdatasync(fileno(file_));
-    journalCounters().appends.inc();
+    panic_if(fd_ < 0, "Journal append before open");
+    std::string record = torn_ ? "\n" + line : line;
+    record += '\n';
+    const bool ok = writeAll(fd_, record.data(), record.size()) &&
+                    ::fdatasync(fd_) == 0;
+    torn_ = !ok;
+    if (ok)
+        journalCounters().appends.inc();
+    else
+        journalCounters().appendFailures.inc();
+    return ok;
 }
 
 uint64_t
@@ -110,20 +120,28 @@ Journal::appendAccepted(const JobRequest &req,
         .field("id", req.id)
         .field("fingerprint", fingerprint)
         .field("request", writeRequest(req));
-    appendLine(w.str());
-    return seq;
+    if (appendLine(w.str()))
+        return seq;
+    JsonWriter shed;
+    shed.field("type", "shed")
+        .field("seq", seq)
+        .field("id", req.id)
+        .field("code", "journal")
+        .field("reason", "journal append failed");
+    appendLine(shed.str());
+    return 0;
 }
 
-void
+bool
 Journal::appendRunning(uint64_t seq, const std::string &id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     JsonWriter w;
     w.field("type", "running").field("seq", seq).field("id", id);
-    appendLine(w.str());
+    return appendLine(w.str());
 }
 
-void
+bool
 Journal::appendDone(uint64_t seq, const std::string &id,
                     const std::string &result_line)
 {
@@ -133,10 +151,10 @@ Journal::appendDone(uint64_t seq, const std::string &id,
         .field("seq", seq)
         .field("id", id)
         .field("result", result_line);
-    appendLine(w.str());
+    return appendLine(w.str());
 }
 
-void
+bool
 Journal::appendShed(uint64_t seq, const std::string &id,
                     const std::string &code, const std::string &reason)
 {
@@ -147,28 +165,26 @@ Journal::appendShed(uint64_t seq, const std::string &id,
         .field("id", id)
         .field("code", code)
         .field("reason", reason);
-    appendLine(w.str());
+    return appendLine(w.str());
 }
 
 void
 Journal::sync()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (file_ != nullptr) {
-        std::fflush(file_);
-        ::fdatasync(fileno(file_));
-    }
+    if (fd_ >= 0)
+        ::fdatasync(fd_);
 }
 
 void
 Journal::close()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (file_ != nullptr) {
-        std::fflush(file_);
-        ::fdatasync(fileno(file_));
-        std::fclose(file_);
-        file_ = nullptr;
+    if (fd_ >= 0) {
+        ::fdatasync(fd_);
+        ::close(fd_);
+        fd_ = -1;
+        torn_ = false;
     }
 }
 
@@ -277,36 +293,18 @@ Journal::compact(const std::string &path, std::string *error)
         return false;
     }
 
-    const std::string tmp = path + ".compact";
-    {
-        std::FILE *out = std::fopen(tmp.c_str(), "wb");
-        if (out == nullptr) {
-            if (error != nullptr)
-                *error = "cannot open " + tmp + " for write";
-            return false;
-        }
-        for (const JournalJob *job : replay.pending()) {
-            JsonWriter w;
-            w.field("type", "accepted")
-                .field("seq", job->seq)
-                .field("id", job->id)
-                .field("fingerprint", job->fingerprint)
-                .field("request", job->requestLine);
-            std::string line = w.str();
-            std::fwrite(line.data(), 1, line.size(), out);
-            std::fputc('\n', out);
-        }
-        std::fflush(out);
-        ::fdatasync(fileno(out));
-        std::fclose(out);
+    std::string contents;
+    for (const JournalJob *job : replay.pending()) {
+        JsonWriter w;
+        w.field("type", "accepted")
+            .field("seq", job->seq)
+            .field("id", job->id)
+            .field("fingerprint", job->fingerprint)
+            .field("request", job->requestLine);
+        contents += w.str();
+        contents += '\n';
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        if (error != nullptr)
-            *error = "cannot rename " + tmp + " over " + path;
-        return false;
-    }
-    return true;
+    return replaceFileAtomically(path, contents, error);
 }
 
 } // namespace rasengan::serve

@@ -5,10 +5,13 @@
  * Every accepted request is appended -- with its content fingerprint
  * and the full request line -- before the daemon acknowledges it, and
  * every state transition (running, done, failed, shed) is appended as
- * it happens.  Appends are flushed and fdatasync'd per record, so after
+ * it happens.  Appends are written and fdatasync'd per record, so after
  * a SIGKILL the journal is at worst missing (or tearing) its final
  * line.  Replay tolerates exactly that: malformed or truncated trailing
- * records are skipped and counted, never fatal.
+ * records are skipped and counted, never fatal.  An append that fails
+ * (a full disk, an I/O error) is reported to the caller, so the daemon
+ * never acknowledges a job it could not journal; the next append starts
+ * on a fresh line, so a torn record never swallows the one after it.
  *
  * Replay semantics.  A job is *pending* when its accepted record has no
  * terminal record (done or shed) -- including jobs that were mid-run
@@ -37,7 +40,6 @@
 #define RASENGAN_SERVE_JOURNAL_H
 
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -79,8 +81,9 @@ struct JournalReplay
 /**
  * Append-only journal writer.  All append methods are thread-safe (the
  * daemon journals acceptance from its IO thread and completion from the
- * worker) and durable: each record is flushed and fdatasync'd before
- * the call returns.
+ * worker) and durable: each record is written and fdatasync'd before
+ * the call returns.  They return false when the record could not be
+ * written or synced, bumping serve_journal_append_failures_total.
  */
 class Journal
 {
@@ -98,25 +101,30 @@ class Journal
     bool open(const std::string &path, uint64_t next_seq = 1,
               std::string *error = nullptr);
 
-    bool isOpen() const { return file_ != nullptr; }
+    bool isOpen() const { return fd_ >= 0; }
     const std::string &path() const { return path_; }
 
-    /** Journal an accepted request; returns its sequence number. */
+    /**
+     * Journal an accepted request; returns its sequence number, or 0
+     * when the record could not be written.  A failed append is
+     * followed by a best-effort terminal shed record (code "journal"),
+     * so a replay never re-runs a job the caller went on to reject.
+     */
     uint64_t appendAccepted(const JobRequest &req,
                             const std::string &fingerprint);
 
-    void appendRunning(uint64_t seq, const std::string &id);
+    bool appendRunning(uint64_t seq, const std::string &id);
 
     /** Terminal: job finished (ok or failed); @p result_line is the
      *  deterministic writeResult() rendering. */
-    void appendDone(uint64_t seq, const std::string &id,
+    bool appendDone(uint64_t seq, const std::string &id,
                     const std::string &result_line);
 
     /** Terminal: job shed/rejected with a structured reason. */
-    void appendShed(uint64_t seq, const std::string &id,
+    bool appendShed(uint64_t seq, const std::string &id,
                     const std::string &code, const std::string &reason);
 
-    /** Flush + fdatasync any buffered bytes (appends already do). */
+    /** fdatasync the journal (appends already do). */
     void sync();
 
     void close();
@@ -132,18 +140,20 @@ class Journal
     /**
      * Rewrite @p path keeping only records of jobs that are still
      * pending (SIGHUP maintenance: a long-lived daemon's journal would
-     * otherwise grow without bound).  Atomic: writes a sibling temp
-     * file, fsyncs, then renames over the original.  Returns false and
-     * leaves the original untouched on any failure.  The journal must
-     * be closed (or not yet opened) when compacting.
+     * otherwise grow without bound).  Atomic (replaceFileAtomically):
+     * returns false and leaves the original untouched on any failure.
+     * The journal must be closed (or not yet opened) when compacting.
      */
     static bool compact(const std::string &path, std::string *error);
 
   private:
-    void appendLine(const std::string &line);
+    bool appendLine(const std::string &line);
 
     std::mutex mutex_;
-    std::FILE *file_ = nullptr;
+    int fd_ = -1;
+    /** The last append failed, possibly mid-record: start the next
+     *  one on a fresh line. */
+    bool torn_ = false;
     std::string path_;
     uint64_t nextSeq_ = 1;
 };

@@ -1,14 +1,23 @@
 /**
  * @file
- * Unit tests for src/common: BitVec, Rng, stats, timers, log formatting.
+ * Unit tests for src/common: BitVec, Rng, stats, timers, log formatting,
+ * the checked atomic file replace.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "common/bitvec.h"
+#include "common/fileio.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -268,6 +277,45 @@ TEST(Timer, ScopedTimerStops)
     EXPECT_GT(t, 0.0);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     EXPECT_DOUBLE_EQ(w.seconds(), t);
+}
+
+TEST(FileIo, ReplaceFileAtomicallyOverwritesOrKeepsTheOriginal)
+{
+    const std::string dir = ::testing::TempDir() + "rasengan_fileio_" +
+                            std::to_string(::getpid());
+    ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+    const std::string path = dir + "/state.txt";
+    auto slurp = [](const std::string &p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+
+    std::string error;
+    ASSERT_TRUE(replaceFileAtomically(path, "one\n", &error)) << error;
+    ASSERT_TRUE(replaceFileAtomically(path, "two\n", &error)) << error;
+    EXPECT_EQ(slurp(path), "two\n");
+
+    // The rename step fails when the target is a non-empty directory:
+    // the call reports it, removes its temp file and leaves the
+    // target alone.
+    const std::string busy = dir + "/busy";
+    ASSERT_EQ(::mkdir(busy.c_str(), 0700), 0);
+    ASSERT_TRUE(replaceFileAtomically(busy + "/inner", "x", &error));
+    EXPECT_FALSE(replaceFileAtomically(busy, "lost", &error));
+    EXPECT_NE(error.find("rename"), std::string::npos) << error;
+    EXPECT_EQ(::access((busy + ".tmp").c_str(), F_OK), -1);
+    EXPECT_EQ(slurp(busy + "/inner"), "x");
+
+    // A temp file that cannot be created fails before touching anything.
+    EXPECT_FALSE(
+        replaceFileAtomically(dir + "/no/such/dir/f", "x", &error));
+    EXPECT_NE(error.find("open"), std::string::npos) << error;
+    EXPECT_EQ(slurp(path), "two\n");
+
+    std::remove((busy + "/inner").c_str());
+    ::rmdir(busy.c_str());
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
 }
 
 TEST(Logging, FormatSubstitution)

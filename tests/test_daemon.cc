@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/job.h"
 #include "serve/journal.h"
@@ -280,6 +281,27 @@ TEST(Journal, CompactKeepsOnlyPendingRecords)
     // Sequence numbering survives compaction: the next incarnation must
     // not reuse seq 1-3.
     EXPECT_EQ(replay.nextSeq, 4u);
+}
+
+TEST(Journal, AppendsReportAFullDisk)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not writable here";
+    obs::Counter &failures = obs::Registry::global().counter(
+        "serve_journal_append_failures_total",
+        "Journal records that could not be written or synced");
+    const uint64_t before = failures.value();
+
+    Journal journal;
+    std::string error;
+    ASSERT_TRUE(journal.open("/dev/full", 1, &error)) << error;
+    // The accepted append fails, and so does its best-effort shed.
+    EXPECT_EQ(journal.appendAccepted(makeRequest("a"), "fp-a"), 0u);
+    EXPECT_FALSE(journal.appendRunning(1, "a"));
+    EXPECT_FALSE(journal.appendDone(1, "a", "{\"id\":\"a\"}"));
+    EXPECT_FALSE(journal.appendShed(1, "a", "admission", "queue full"));
+    journal.close();
+    EXPECT_EQ(failures.value() - before, 5u);
 }
 
 // ---------------------------------------------------------------------

@@ -551,6 +551,11 @@ TEST(Fusion, ToggleDisablesThePass)
 // Alias sampler
 // ---------------------------------------------------------------------
 
+// The death tests below use the threadsafe style: earlier tests leave
+// pool workers running, and a "fast" death test forks a process that
+// carries none of them but may inherit a lock one of them held (under
+// TSan the child then hangs).  gtest restores the flag after each test.
+
 TEST(AliasTable, MatchesWeightDistribution)
 {
     std::vector<double> weights = {1.0, 0.0, 3.0, 2.0, 0.5, 0.0, 4.5};
@@ -596,6 +601,7 @@ TEST(AliasTable, SingleOutcome)
 
 TEST(AliasTable, RejectsDegenerateInput)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH({ qsim::AliasTable t((std::vector<double>{})); },
                  "alias");
     EXPECT_DEATH({ qsim::AliasTable t(std::vector<double>{0.0, 0.0}); },
@@ -604,6 +610,7 @@ TEST(AliasTable, RejectsDegenerateInput)
 
 TEST(AliasTable, RejectsNonFiniteWeights)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const double nan = std::nan("");
     const double inf = std::numeric_limits<double>::infinity();
     EXPECT_DEATH({ qsim::AliasTable t(std::vector<double>{0.5, nan}); },
@@ -620,6 +627,7 @@ TEST(AliasTable, RejectsNonFiniteWeights)
 
 TEST(AliasTable, WeightedIndexRejectsNonFinite)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Rng rng(3);
     const double nan = std::nan("");
     EXPECT_DEATH(rng.weightedIndex({1.0, nan}), "non-finite");

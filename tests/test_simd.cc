@@ -5,16 +5,14 @@
  * The contract is bit-exactness: every vector ISA must reproduce the
  * scalar reference kernels to the last bit, at every input size
  * (including n = 0, 1, and every non-multiple of the vector width),
- * and whole simulations must be byte-identical under
- * RASENGAN_SIMD=scalar vs auto at 1, 2, and 7 threads.  On machines
- * where only the scalar table is available, the cross-ISA comparisons
- * skip instead of failing.
+ * and whole simulations must be byte-identical under the scalar and
+ * the best ISA at 1, 2, and 7 threads.  On machines where only the
+ * scalar table is available, the cross-ISA comparisons skip instead
+ * of failing.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <complex>
 #include <cstring>
 #include <vector>
@@ -29,8 +27,6 @@
 #include "core/rasengan.h"
 #include "problems/suite.h"
 #include "qsim/simd.h"
-#include "qsim/sparseplan.h"
-#include "qsim/sparsestate.h"
 #include "qsim/statevector.h"
 
 namespace rasengan {
@@ -109,58 +105,11 @@ TEST(SimdSelect, ScalarAlwaysAvailable)
     EXPECT_EQ(qsim::simdKernels().isa, SimdIsa::Scalar);
 }
 
-TEST(SimdSelect, SpecParsing)
-{
-    IsaGuard guard;
-    std::string error;
-    EXPECT_TRUE(qsim::selectSimdIsa("scalar", &error)) << error;
-    EXPECT_TRUE(qsim::selectSimdIsa("auto", &error)) << error;
-    EXPECT_EQ(qsim::simdActiveIsa(), qsim::simdBestIsa());
-    EXPECT_FALSE(qsim::selectSimdIsa("sse9", &error));
-    EXPECT_NE(error.find("sse9"), std::string::npos);
-    // A failed selection leaves the active table untouched.
-    EXPECT_EQ(qsim::simdActiveIsa(), qsim::simdBestIsa());
-}
-
-TEST(SimdSelect, UnavailableIsaRejected)
-{
-    IsaGuard guard;
-#if defined(__x86_64__)
-    std::string error;
-    EXPECT_FALSE(qsim::selectSimdIsa("neon", &error));
-    EXPECT_NE(error.find("neon"), std::string::npos);
-#else
-    GTEST_SKIP() << "no guaranteed-unavailable ISA on this target";
-#endif
-}
-
 // ---------------------------------------------------------------------
 // Kernel-level scalar-vs-vector bit-exactness, fuzzed across sizes
-// that are not multiples of any vector width (satellite: n = 0, 1
-// included via kFuzzSizes).
+// that are not multiples of any vector width (n = 0, 1 included via
+// kFuzzSizes).
 // ---------------------------------------------------------------------
-
-TEST(SimdKernelsExact, CmulArrayAllSizes)
-{
-    SKIP_IF_SCALAR_ONLY();
-    const SimdKernels &scalar = *qsim::detail::simdScalarTable();
-    for (SimdIsa isa : vectorIsas()) {
-        IsaGuard guard;
-        ASSERT_TRUE(qsim::setSimdIsa(isa));
-        const SimdKernels &vec = qsim::simdKernels();
-        Rng rng(11);
-        for (uint64_t n : kFuzzSizes) {
-            std::vector<Complex> amps = randomAmps(rng, n);
-            std::vector<Complex> factors = randomAmps(rng, n);
-            std::vector<Complex> want = amps;
-            scalar.cmulArray(want.data(), factors.data(), n);
-            std::vector<Complex> got = amps;
-            vec.cmulArray(got.data(), factors.data(), n);
-            EXPECT_TRUE(sameBytes(got, want))
-                << qsim::simdIsaName(isa) << " n=" << n;
-        }
-    }
-}
 
 TEST(SimdKernelsExact, PairRotateStridedAllSizes)
 {
@@ -213,31 +162,6 @@ TEST(SimdKernelsExact, PairRotateAdjacentAllSizes)
     }
 }
 
-TEST(SimdKernelsExact, DiagonalEvolutionAllSizes)
-{
-    SKIP_IF_SCALAR_ONLY();
-    const SimdKernels &scalar = *qsim::detail::simdScalarTable();
-    for (SimdIsa isa : vectorIsas()) {
-        IsaGuard guard;
-        ASSERT_TRUE(qsim::setSimdIsa(isa));
-        const SimdKernels &vec = qsim::simdKernels();
-        Rng rng(14);
-        for (uint64_t n : kFuzzSizes) {
-            std::vector<Complex> amps = randomAmps(rng, n);
-            std::vector<double> values(n);
-            for (auto &v : values)
-                v = rng.normal();
-            std::vector<Complex> want = amps;
-            scalar.diagonalEvolution(want.data(), values.data(), 0.7, 0,
-                                     n);
-            std::vector<Complex> got = amps;
-            vec.diagonalEvolution(got.data(), values.data(), 0.7, 0, n);
-            EXPECT_TRUE(sameBytes(got, want))
-                << qsim::simdIsaName(isa) << " n=" << n;
-        }
-    }
-}
-
 TEST(SimdKernelsExact, DiagonalTermsAllSizes)
 {
     SKIP_IF_SCALAR_ONLY();
@@ -264,94 +188,6 @@ TEST(SimdKernelsExact, DiagonalTermsAllSizes)
             std::vector<Complex> got = amps;
             vec.diagonalTerms(got.data(), terms.data(), terms.size(), 0,
                               n);
-            EXPECT_TRUE(sameBytes(got, want))
-                << qsim::simdIsaName(isa) << " n=" << n;
-        }
-    }
-}
-
-TEST(SimdKernelsExact, SparseClassifyAllSizes)
-{
-    SKIP_IF_SCALAR_ONLY();
-    const SimdKernels &scalar = *qsim::detail::simdScalarTable();
-    BitVec mask;
-    mask.set(1);
-    mask.set(3);
-    mask.set(70); // exercise the high word
-    BitVec pattern_plus;
-    pattern_plus.set(1);
-    pattern_plus.set(70);
-    const BitVec pattern_minus = pattern_plus ^ mask;
-    for (SimdIsa isa : vectorIsas()) {
-        IsaGuard guard;
-        ASSERT_TRUE(qsim::setSimdIsa(isa));
-        const SimdKernels &vec = qsim::simdKernels();
-        Rng rng(16);
-        for (uint64_t n : kFuzzSizes) {
-            if (n == 0)
-                continue; // classify over an empty support is a no-op
-            // Sorted unique random keys over low bits 0..5 and bit 70.
-            std::vector<BitVec> keys;
-            uint64_t raw = 0;
-            for (uint64_t i = 0; i < n; ++i) {
-                raw += 1 + static_cast<uint64_t>(rng.uniformInt(0, 2));
-                BitVec k = BitVec::fromIndex(raw & 0x3F);
-                if (raw & 0x40)
-                    k.set(70);
-                if (raw & 0x80)
-                    k.set(90);
-                keys.push_back(k);
-            }
-            std::sort(keys.begin(), keys.end());
-            keys.erase(std::unique(keys.begin(), keys.end()),
-                       keys.end());
-            const uint64_t m = keys.size();
-            std::vector<uint8_t> role_want(m, 99), role_got(m, 99);
-            std::vector<uint32_t> part_want(m, 7), part_got(m, 7);
-            scalar.sparseClassify(keys.data(), m, 0, m, mask,
-                                  pattern_plus, pattern_minus,
-                                  role_want.data(), part_want.data());
-            vec.sparseClassify(keys.data(), m, 0, m, mask, pattern_plus,
-                               pattern_minus, role_got.data(),
-                               part_got.data());
-            EXPECT_EQ(role_got, role_want)
-                << qsim::simdIsaName(isa) << " n=" << m;
-            for (uint64_t i = 0; i < m; ++i) {
-                if (role_want[i] != qsim::kSimdRoleDark) {
-                    EXPECT_EQ(part_got[i], part_want[i])
-                        << qsim::simdIsaName(isa) << " i=" << i;
-                }
-            }
-        }
-    }
-}
-
-TEST(SimdKernelsExact, SparsePairRotateAllSizes)
-{
-    SKIP_IF_SCALAR_ONLY();
-    const SimdKernels &scalar = *qsim::detail::simdScalarTable();
-    const double c = std::cos(0.613);
-    const Complex ms = Complex{0.0, -1.0} * std::sin(0.613);
-    for (SimdIsa isa : vectorIsas()) {
-        IsaGuard guard;
-        ASSERT_TRUE(qsim::setSimdIsa(isa));
-        const SimdKernels &vec = qsim::simdKernels();
-        Rng rng(17);
-        for (uint64_t n : kFuzzSizes) {
-            // n disjoint pairs over 2n slots, randomly interleaved.
-            std::vector<uint32_t> slots(2 * n);
-            for (uint32_t i = 0; i < 2 * n; ++i)
-                slots[i] = i;
-            rng.shuffle(slots);
-            std::vector<std::pair<uint32_t, uint32_t>> pairs(n);
-            for (uint64_t p = 0; p < n; ++p)
-                pairs[p] = {slots[2 * p], slots[2 * p + 1]};
-            std::vector<Complex> amps = randomAmps(rng, 2 * n);
-            std::vector<Complex> want = amps;
-            scalar.sparsePairRotate(want.data(), pairs.data(), 0, n, c,
-                                    ms);
-            std::vector<Complex> got = amps;
-            vec.sparsePairRotate(got.data(), pairs.data(), 0, n, c, ms);
             EXPECT_TRUE(sameBytes(got, want))
                 << qsim::simdIsaName(isa) << " n=" << n;
         }
@@ -401,49 +237,6 @@ TEST(SimdCrossIsa, DenseAmplitudesBitIdentical)
             sv.applyCircuit(circ);
             EXPECT_TRUE(
                 sameBytes(sv.amplitudes(), reference.amplitudes()))
-                << qsim::simdIsaName(isa) << " threads=" << tc;
-        }
-    }
-}
-
-TEST(SimdCrossIsa, SparseRotationBitIdentical)
-{
-    SKIP_IF_SCALAR_ONLY();
-    ThreadGuard tguard;
-    IsaGuard iguard;
-    const int n = 16;
-    // A chain of overlapping two-bit transitions grows the support
-    // into the thousands, deep enough to engage the batched search.
-    auto run = [&]() {
-        qsim::SparseState st(n, BitVec{});
-        for (int step = 0; step < 24; ++step) {
-            BitVec mask;
-            mask.set(step % n);
-            mask.set((step * 5 + 1) % n);
-            // plus pattern = all-zero on the support: pairs x with
-            // x^mask for every x whose mask bits are 00 or 11, so the
-            // support grows roughly 2x per step until saturation.
-            st.applyPairRotation(mask, BitVec{}, 0.21 + 0.01 * step,
-                                 qsim::SparseState::
-                                     kDefaultPruneThreshold);
-        }
-        return st;
-    };
-
-    ASSERT_TRUE(qsim::setSimdIsa(SimdIsa::Scalar));
-    parallel::setThreadCount(1);
-    qsim::SparseState reference = run();
-    ASSERT_GT(reference.supportSize(), 1000u);
-
-    for (SimdIsa isa : vectorIsas()) {
-        ASSERT_TRUE(qsim::setSimdIsa(isa));
-        for (int tc : kSweep) {
-            parallel::setThreadCount(tc);
-            qsim::SparseState st = run();
-            ASSERT_EQ(st.supportSize(), reference.supportSize())
-                << qsim::simdIsaName(isa) << " threads=" << tc;
-            EXPECT_TRUE(st.keys() == reference.keys());
-            EXPECT_TRUE(sameBytes(st.amps(), reference.amps()))
                 << qsim::simdIsaName(isa) << " threads=" << tc;
         }
     }

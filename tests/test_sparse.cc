@@ -5,8 +5,9 @@
  * (qsim/sparseplan.h): cross-validation against a dense reference
  * evolution at 1e-12, prune/renormalize edge cases, key-order
  * invariants of the merge kernels, bit-identical results across thread
- * counts, plan record/replay equivalence including the pruning-forced
- * invalidation and abort paths, and deterministic Counts serialization.
+ * counts (including a support large enough to split into chunks), plan
+ * record/replay equivalence including the pruning-forced invalidation
+ * and abort paths, and deterministic Counts serialization.
  */
 
 #include <gtest/gtest.h>
@@ -268,6 +269,46 @@ TEST(SparseState, ResultsAreBitIdenticalAcrossThreadCounts)
                   0)
             << "threads=" << tc;
         EXPECT_EQ(counts.sorted(), ref_counts.sorted())
+            << "threads=" << tc;
+    }
+}
+
+TEST(SparseState, LargeSupportBitIdenticalAcrossThreadCounts)
+{
+    // J1's support stays below one parallel-for grain, so the test
+    // above never splits a kernel into chunks.  A chain of overlapping
+    // two-bit transitions grows this support past two grains, so the
+    // classify, scatter and rotate passes run in several chunks.
+    ThreadGuard guard;
+    const int n = 16;
+    auto run = [&]() {
+        SparseState st(n, BitVec{});
+        for (int step = 0; step < 24; ++step) {
+            BitVec mask;
+            mask.set(step % n);
+            mask.set((step * 5 + 1) % n);
+            // plus pattern = all-zero on the support: pairs x with
+            // x^mask for every x whose mask bits are 00 or 11, so the
+            // support grows roughly 2x per step until saturation.
+            st.applyPairRotation(mask, BitVec{}, 0.21 + 0.01 * step,
+                                 SparseState::kDefaultPruneThreshold);
+        }
+        return st;
+    };
+
+    parallel::setThreadCount(1);
+    SparseState reference = run();
+    // At least two chunks of one grain each.
+    ASSERT_GT(reference.supportSize(), 2 * parallel::kDefaultGrain);
+    for (int tc : {2, 7}) {
+        parallel::setThreadCount(tc);
+        SparseState st = run();
+        ASSERT_EQ(st.supportSize(), reference.supportSize())
+            << "threads=" << tc;
+        EXPECT_TRUE(st.keys() == reference.keys()) << "threads=" << tc;
+        EXPECT_EQ(std::memcmp(st.amps().data(), reference.amps().data(),
+                              reference.amps().size() * sizeof(Complex)),
+                  0)
             << "threads=" << tc;
     }
 }

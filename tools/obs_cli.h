@@ -13,7 +13,7 @@
  *  - loadRequests(): the --requests/--workload batch loader.
  *  - writeLines(): the checked --out/--telemetry writer.
  *  - obsCliStart()/obsCliFinish(): call the first once flags are
- *    parsed (pins the --simd kernel ISA, registering the simd_isa_info
+ *    parsed (resolves the kernel ISA, registering the simd_isa_info
  *    gauge before any export can run; configures the flight recorder
  *    from --flight or RASENGAN_FLIGHT and installs its dump signal
  *    handlers; starts tracing when a trace path was given and records
@@ -53,9 +53,6 @@ namespace rasengan::tools {
 
 struct ObsCliOptions
 {
-    /** --simd: auto|avx2|neon|scalar; "" keeps the RASENGAN_SIMD /
-     *  auto default. */
-    std::string simdSpec;
     std::string tracePath;
     std::string metricsPath;
     /** --flight value: on|off|N (ring entries)|/dump/path; "" falls
@@ -219,8 +216,8 @@ class FlagSet
 /** Which shared flags a driver takes. */
 enum class Front
 {
-    Solve,  ///< --threads (>= 1), --simd, --trace, --metrics, --flight
-    Daemon, ///< every ServiceConfig flag, --simd, --flight
+    Solve,  ///< --threads (>= 1), --trace, --metrics, --flight
+    Daemon, ///< every ServiceConfig flag, --flight
     Batch,  ///< the Daemon set plus --trace and --metrics
 };
 
@@ -247,7 +244,6 @@ addServiceFlags(FlagSet &flags, Front front, serve::ServiceConfig &service,
         flags.count("--max-shots", "N", &limits.maxShotsPerJob);
         flags.number("--max-cost", "UNITS", &limits.maxJobCostUnits);
     }
-    flags.text("--simd", "auto|avx2|neon|scalar", &obs.simdSpec);
     if (front != Front::Daemon) {
         flags.text("--trace", "FILE", &obs.tracePath);
         flags.text("--metrics", "FILE", &obs.metricsPath);
@@ -343,30 +339,9 @@ writeLines(const std::string &path, const std::vector<std::string> &lines)
     return ok;
 }
 
-/**
- * Apply a --simd spec; empty means leave the RASENGAN_SIMD / auto
- * default in place.  Returns false after printing a diagnostic when the
- * spec is unknown or the ISA is unavailable on this build/CPU.
- */
-inline bool
-applySimdFlag(const std::string &spec)
-{
-    if (spec.empty())
-        return true;
-    std::string error;
-    if (!qsim::selectSimdIsa(spec, &error)) {
-        std::fprintf(stderr, "--simd: %s\n", error.c_str());
-        return false;
-    }
-    return true;
-}
-
-/** Returns false (after printing to stderr) on a bad --simd spec. */
-inline bool
+inline void
 obsCliStart(const ObsCliOptions &opts)
 {
-    if (!applySimdFlag(opts.simdSpec))
-        return false;
     // Resolving the active ISA here registers the simd_isa_info gauge
     // before any metrics export can run.
     const char *isa = qsim::simdIsaName(qsim::simdActiveIsa());
@@ -382,7 +357,6 @@ obsCliStart(const ObsCliOptions &opts)
         obs::startTracing();
         obs::instantEvent("qsim", "simd_isa", isa);
     }
-    return true;
 }
 
 /** Returns false (after printing to stderr) if an export failed. */

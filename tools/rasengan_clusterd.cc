@@ -279,8 +279,6 @@ main(int argc, char **argv)
     }
 
     if (args.workerMode) {
-        if (!tools::applySimdFlag(args.obs.simdSpec))
-            return 1;
         int fd = connectTo(args.connect);
         if (fd < 0)
             return 1;
@@ -311,8 +309,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (!tools::obsCliStart(args.obs))
-        return 1;
+    tools::obsCliStart(args.obs);
 
     cluster::Coordinator coordinator(args.coordinator, std::move(workerFds));
     for (const auto &req : requests)

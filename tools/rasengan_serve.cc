@@ -84,8 +84,7 @@ main(int argc, char **argv)
     std::signal(SIGTERM, onStopSignal);
     std::signal(SIGINT, onStopSignal);
 
-    if (!tools::obsCliStart(obs))
-        return 1;
+    tools::obsCliStart(obs);
 
     serve::BatchScheduler scheduler(options);
     for (const auto &req : requests)

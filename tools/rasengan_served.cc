@@ -84,12 +84,11 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Pin the amplitude kernel tier and decide the flight recorder
+    // Resolve the amplitude kernel tier and decide the flight recorder
     // before the daemon starts serving: the very first /metrics.json
     // probe already reports the active ISA, and Daemon::start() keeps
     // this explicit flight decision.
-    if (!tools::obsCliStart(obs))
-        return 1;
+    tools::obsCliStart(obs);
     const char *simdIsa = qsim::simdIsaName(qsim::simdActiveIsa());
 
     serve::Daemon daemon(options);

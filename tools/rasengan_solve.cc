@@ -20,8 +20,8 @@
  *   --checkpoint P   checkpoint/resume the solve through file P
  *
  * Shared flags (README "Common serving flags"): --threads N (>= 1;
- * results are bit-identical at every setting), --simd, --trace,
- * --metrics, --flight.
+ * results are bit-identical at every setting), --trace, --metrics,
+ * --flight.
  */
 
 #include <cstdio>
@@ -274,8 +274,7 @@ main(int argc, char **argv)
     }
     if (args.service.threads > 0)
         parallel::setThreadCount(args.service.threads);
-    if (!tools::obsCliStart(args.obs))
-        return 1;
+    tools::obsCliStart(args.obs);
 
     if (!args.dump.empty()) {
         if (!problems::isBenchmarkId(args.dump)) {

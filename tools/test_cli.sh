@@ -66,10 +66,13 @@ expect 1 --max-placements "$clusterd" --workload 1 --workers 1 \
     --max-placements 2x
 expect 1 --workers "$clusterd" --workload 1 --workers -2
 
-# Unknown flags, and the removed tuner flag, are rejected everywhere.
+# Unknown flags, and the flags of removed features (the tuner, the
+# kernel ISA override), are rejected everywhere.
 for bin in "$solve" "$serve" "$served" "$clusterd"; do
     expect 1 --no-such-flag "$bin" --no-such-flag
-    expect 1 --tune "$bin" --tune on
+    for removed in tune simd; do
+        expect 1 "--$removed" "$bin" "--$removed" auto
+    done
 done
 
 if [ "$failures" -ne 0 ]; then
