@@ -1,7 +1,6 @@
 #include "circuit/fusion.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <optional>
 
 #include "common/logging.h"
@@ -187,7 +186,7 @@ class Fuser
     int diagSourceGates_ = 0;
 };
 
-std::atomic<int> g_fusion_enabled{-1}; // -1 = read env on first use
+std::atomic<bool> g_fusion_enabled{true};
 
 } // namespace
 
@@ -204,19 +203,13 @@ fuseCircuit(const Circuit &circ)
 bool
 fusionEnabled()
 {
-    int state = g_fusion_enabled.load(std::memory_order_relaxed);
-    if (state < 0) {
-        const char *env = std::getenv("RASENGAN_FUSION");
-        state = (env && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-        g_fusion_enabled.store(state, std::memory_order_relaxed);
-    }
-    return state != 0;
+    return g_fusion_enabled.load(std::memory_order_relaxed);
 }
 
 void
 setFusionEnabled(bool enabled)
 {
-    g_fusion_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+    g_fusion_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 } // namespace rasengan::circuit

@@ -25,8 +25,8 @@
  *
  * Consumers: Statevector::applyFused (qsim), which the dense simulator
  * uses transparently for measurement-free circuits when fusion is
- * enabled (default on; RASENGAN_FUSION=0 or setFusionEnabled(false)
- * disables, e.g. for A/B benchmarking).
+ * enabled (default on; setFusionEnabled(false) disables it, e.g. for
+ * A/B benchmarking).
  */
 
 #ifndef RASENGAN_CIRCUIT_FUSION_H
@@ -89,7 +89,7 @@ struct FusedProgram
  */
 FusedProgram fuseCircuit(const Circuit &circ);
 
-/** Global fusion toggle (initialised from RASENGAN_FUSION, default on). */
+/** Global fusion toggle (default on; the test/bench A/B seam). */
 bool fusionEnabled();
 void setFusionEnabled(bool enabled);
 

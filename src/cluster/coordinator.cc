@@ -1,6 +1,5 @@
 #include "cluster/coordinator.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/job.h"
@@ -20,18 +20,6 @@
 #include "serve/scheduler.h"
 
 namespace rasengan::cluster {
-
-namespace {
-
-void
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-} // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options,
                          std::vector<int> workerFds)
@@ -47,7 +35,7 @@ Coordinator::Coordinator(CoordinatorOptions options,
     conns_.reserve(workerFds.size());
     for (int fd : workerFds) {
         setNonBlocking(fd);
-        conns_.emplace_back(fd, options_.maxFrameBytes);
+        conns_.emplace_back(fd);
     }
 }
 
@@ -226,11 +214,8 @@ Coordinator::handleFrame(int w, const Message &msg)
         }
         conn.spansDropped += msg.spansDropped;
         if (options_.importMetrics && !msg.metrics.empty()) {
-            std::string text = msg.metrics;
-            while (!text.empty() &&
-                   (text.back() == '\n' || text.back() == ' '))
-                text.pop_back();
-            serve::JsonParseResult parsed = serve::parseFlatJson(text);
+            serve::JsonParseResult parsed =
+                serve::parseFlatJson(msg.metrics);
             if (parsed.ok) {
                 std::map<std::string, double> values;
                 for (const auto &[key, value] : parsed.object) {

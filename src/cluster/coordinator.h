@@ -58,7 +58,6 @@ namespace rasengan::cluster {
 /** ServiceConfig::threads and cacheBudgetBytes apply per worker. */
 struct CoordinatorOptions : serve::ServiceConfig
 {
-    size_t maxFrameBytes = kDefaultMaxFrameBytes;
     /** Fault plan forwarded to worker @p faultWorker's hello (tests/CI). */
     std::string faultSpec;
     int faultWorker = -1;
@@ -172,10 +171,7 @@ class Coordinator
         std::vector<obs::FlatEvent> spans;
         uint64_t spansDropped = 0;
 
-        explicit WorkerConn(int f, size_t maxFrame)
-            : fd(f), decoder(maxFrame)
-        {
-        }
+        explicit WorkerConn(int f) : fd(f) {}
     };
 
     void queueFrame(int w, const Message &msg);

@@ -1,7 +1,5 @@
 #include "cluster/protocol.h"
 
-#include <cstdlib>
-
 #include "serve/jsonl.h"
 
 namespace rasengan::cluster {
@@ -105,72 +103,6 @@ fail(const std::string &why)
     return r;
 }
 
-const serve::JsonValue *
-field(const serve::JsonObject &obj, const char *key)
-{
-    auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
-}
-
-bool
-strField(const serve::JsonObject &obj, const char *key, std::string *out)
-{
-    const serve::JsonValue *v = field(obj, key);
-    if (v == nullptr || v->kind != serve::JsonValue::Kind::String)
-        return false;
-    *out = v->str;
-    return true;
-}
-
-bool
-u64Field(const serve::JsonObject &obj, const char *key, uint64_t *out)
-{
-    const serve::JsonValue *v = field(obj, key);
-    if (v == nullptr || v->kind != serve::JsonValue::Kind::Number ||
-        v->num < 0)
-        return false;
-    *out = static_cast<uint64_t>(v->num);
-    return true;
-}
-
-bool
-boolField(const serve::JsonObject &obj, const char *key, bool *out)
-{
-    const serve::JsonValue *v = field(obj, key);
-    if (v == nullptr || v->kind != serve::JsonValue::Kind::Bool)
-        return false;
-    *out = v->flag;
-    return true;
-}
-
-bool
-intField(const serve::JsonObject &obj, const char *key, int *out)
-{
-    const serve::JsonValue *v = field(obj, key);
-    if (v == nullptr || v->kind != serve::JsonValue::Kind::Number)
-        return false;
-    *out = static_cast<int>(v->num);
-    return true;
-}
-
-// Seeds are full 64-bit values; JSON numbers are doubles (exact only to
-// 2^53), so they cross the wire as decimal strings.
-bool
-u64StrField(const serve::JsonObject &obj, const char *key, uint64_t *out)
-{
-    std::string text;
-    if (!strField(obj, key, &text) || text.empty())
-        return false;
-    uint64_t v = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -226,72 +158,55 @@ parseMessage(const std::string &payload)
     serve::JsonParseResult parsed = serve::parseFlatJson(payload);
     if (!parsed.ok)
         return fail("frame payload: " + parsed.error);
-    const serve::JsonObject &obj = parsed.object;
 
+    // Frames may come from remote workers over TCP: every number goes
+    // through the checked accessors (integral, in range), never a cast.
     MessageParseResult out;
     Message &msg = out.msg;
-    if (!strField(obj, "type", &msg.type))
+    serve::FieldReader f(parsed.object);
+    if (!f.required("type", &msg.type).ok())
         return fail("frame payload has no type");
 
     if (msg.type == "hello") {
-        if (!intField(obj, "version", &msg.version) ||
-            !intField(obj, "worker", &msg.worker) ||
-            !u64StrField(obj, "batch_seed", &msg.batchSeed) ||
-            !intField(obj, "threads", &msg.threads) ||
-            !u64Field(obj, "cache_bytes", &msg.cacheBudgetBytes))
-            return fail("hello is missing a required field");
-        strField(obj, "fault", &msg.fault); // optional
-        if (boolField(obj, "trace", &msg.traceSpans) && msg.traceSpans) {
-            if (!u64StrField(obj, "trace_parent", &msg.traceParent))
-                return fail("hello trace is missing trace_parent");
-        }
+        f.required("version", &msg.version)
+            .required("worker", &msg.worker)
+            .decimal("batch_seed", &msg.batchSeed)
+            .required("threads", &msg.threads)
+            .required("cache_bytes", &msg.cacheBudgetBytes)
+            .optional("fault", &msg.fault)
+            .optional("trace", &msg.traceSpans);
+        if (msg.traceSpans)
+            f.decimal("trace_parent", &msg.traceParent);
+        if (f.ok() && (msg.worker < 0 || msg.threads < 0))
+            return fail("hello worker and threads must be >= 0");
     } else if (msg.type == "hello_ack") {
-        if (!intField(obj, "version", &msg.version) ||
-            !intField(obj, "worker", &msg.worker) ||
-            !u64StrField(obj, "now", &msg.now))
-            return fail("hello_ack is missing a required field");
+        f.required("version", &msg.version)
+            .required("worker", &msg.worker)
+            .decimal("now", &msg.now);
     } else if (msg.type == "job") {
-        if (!u64Field(obj, "index", &msg.index) ||
-            !strField(obj, "request", &msg.request))
-            return fail("job is missing a required field");
+        f.required("index", &msg.index).required("request", &msg.request);
     } else if (msg.type == "run") {
-        if (!u64Field(obj, "jobs", &msg.jobs))
-            return fail("run is missing the job count");
+        f.required("jobs", &msg.jobs);
     } else if (msg.type == "result") {
-        if (!u64Field(obj, "index", &msg.index) ||
-            !strField(obj, "result", &msg.result) ||
-            !strField(obj, "telemetry", &msg.telemetry))
-            return fail("result is missing a required field");
+        f.required("index", &msg.index)
+            .required("result", &msg.result)
+            .required("telemetry", &msg.telemetry);
     } else if (msg.type == "batch_done") {
-        if (!u64Field(obj, "jobs", &msg.jobs))
-            return fail("batch_done is missing the job count");
-        u64Field(obj, "cache_hits", &msg.cacheHits);
-        u64Field(obj, "cache_misses", &msg.cacheMisses);
-        u64Field(obj, "cache_evictions", &msg.cacheEvictions);
-        u64Field(obj, "cache_bytes_in_use", &msg.cacheBytesInUse);
-        strField(obj, "metrics", &msg.metrics);
-        strField(obj, "spans", &msg.spans);
-        u64Field(obj, "spans_dropped", &msg.spansDropped);
-    } else if (msg.type == "drain" || msg.type == "bye") {
-        // type-only messages
-    } else {
+        f.required("jobs", &msg.jobs)
+            .optional("cache_hits", &msg.cacheHits)
+            .optional("cache_misses", &msg.cacheMisses)
+            .optional("cache_evictions", &msg.cacheEvictions)
+            .optional("cache_bytes_in_use", &msg.cacheBytesInUse)
+            .optional("metrics", &msg.metrics)
+            .optional("spans", &msg.spans)
+            .optional("spans_dropped", &msg.spansDropped);
+    } else if (msg.type != "drain" && msg.type != "bye") {
         return fail("unknown message type \"" + msg.type + "\"");
     }
+    if (!f.ok())
+        return fail(msg.type + ": " + f.error());
     out.ok = true;
     return out;
-}
-
-size_t
-maxFrameBytesFromEnv()
-{
-    const char *env = std::getenv("RASENGAN_CLUSTER_MAX_FRAME");
-    if (env == nullptr || *env == '\0')
-        return kDefaultMaxFrameBytes;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v < 4096)
-        return kDefaultMaxFrameBytes;
-    return static_cast<size_t>(v);
 }
 
 } // namespace rasengan::cluster

@@ -59,9 +59,8 @@ namespace rasengan::cluster {
 constexpr int kProtocolVersion = 2;
 
 /**
- * Default frame cap: a request line tops out at LineReader's 1 MiB,
- * and a batch_done metrics snapshot stays far below this.  Overridable
- * via RASENGAN_CLUSTER_MAX_FRAME for pathological workloads.
+ * Frame cap: a request line tops out at LineReader's 1 MiB, and a
+ * batch_done metrics snapshot stays far below this.
  */
 constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
 
@@ -174,9 +173,6 @@ std::string encodeMessage(const Message &msg);
 
 /** Parse and validate one frame payload. */
 MessageParseResult parseMessage(const std::string &payload);
-
-/** The frame cap from RASENGAN_CLUSTER_MAX_FRAME, else the default. */
-size_t maxFrameBytesFromEnv();
 
 } // namespace rasengan::cluster
 

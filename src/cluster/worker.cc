@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fileio.h"
 #include "exec/faults.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,23 +26,6 @@ namespace rasengan::cluster {
 
 namespace {
 
-/** Write all of @p data to @p fd, riding out EINTR and short writes. */
-bool
-writeAll(int fd, const std::string &data)
-{
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
-
 struct WorkerState
 {
     int fd = -1;
@@ -49,7 +33,6 @@ struct WorkerState
     int workerIndex = -1;
     uint64_t batchSeed = 0;
     int threads = 0;
-    size_t maxFrameBytes = kDefaultMaxFrameBytes;
     /** Coordinator asked for span shipping at hello. */
     bool shipSpans = false;
     /** Coordinator-side span id this cycle's job spans open under. */
@@ -76,7 +59,8 @@ sendMessage(WorkerState &state, const Message &msg)
     std::lock_guard<std::mutex> lock(state.sendMutex);
     if (state.disconnected.load(std::memory_order_relaxed))
         return false;
-    if (!writeAll(state.fd, frame(encodeMessage(msg)))) {
+    const std::string bytes = frame(encodeMessage(msg));
+    if (!writeAll(state.fd, bytes.data(), bytes.size())) {
         state.disconnected.store(true, std::memory_order_relaxed);
         return false;
     }
@@ -243,7 +227,7 @@ runCycle(WorkerState &state, uint64_t expectedJobs, std::string *error)
         // event budget converges fast and keeps the earliest (root-
         // most) events, which matter most for stitching.
         while (!encoded.empty() && cap > 0 &&
-               encoded.size() > state.maxFrameBytes / 2) {
+               encoded.size() > kDefaultMaxFrameBytes / 2) {
             cap /= 2;
             encoded = obs::encodeSpanEvents(ship, cap, &dropped);
         }
@@ -257,7 +241,7 @@ runCycle(WorkerState &state, uint64_t expectedJobs, std::string *error)
 } // namespace
 
 WorkerOutcome
-runWorker(int fd, size_t maxFrameBytes)
+runWorker(int fd)
 {
     // A coordinator death mid-write must surface as EPIPE, not kill us.
     std::signal(SIGPIPE, SIG_IGN);
@@ -265,8 +249,7 @@ runWorker(int fd, size_t maxFrameBytes)
     WorkerOutcome outcome;
     WorkerState state;
     state.fd = fd;
-    state.maxFrameBytes = maxFrameBytes;
-    FrameDecoder decoder(maxFrameBytes);
+    FrameDecoder decoder;
     std::string payload;
     char buf[1 << 16];
 

@@ -49,7 +49,7 @@ struct WorkerOutcome
  * until drain, peer disconnect, or a protocol error; always closes
  * @p fd before returning.
  */
-WorkerOutcome runWorker(int fd, size_t maxFrameBytes = maxFrameBytesFromEnv());
+WorkerOutcome runWorker(int fd);
 
 } // namespace rasengan::cluster
 

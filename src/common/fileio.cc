@@ -62,4 +62,45 @@ replaceFileAtomically(const std::string &path, const std::string &contents,
     return false;
 }
 
+bool
+RecordLog::open(const std::string &path, bool sync, std::string *error)
+{
+    close();
+    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0) {
+        if (error != nullptr)
+            *error = "cannot open " + path + " for append: " +
+                     std::strerror(errno);
+        return false;
+    }
+    sync_ = sync;
+    torn_ = false;
+    return true;
+}
+
+bool
+RecordLog::append(const std::string &record)
+{
+    if (fd_ < 0)
+        return false;
+    std::string line = torn_ ? "\n" + record : record;
+    line += '\n';
+    const bool ok = writeAll(fd_, line.data(), line.size()) &&
+                    (!sync_ || ::fdatasync(fd_) == 0);
+    torn_ = !ok;
+    return ok;
+}
+
+void
+RecordLog::close()
+{
+    if (fd_ < 0)
+        return;
+    if (sync_)
+        ::fdatasync(fd_);
+    ::close(fd_);
+    fd_ = -1;
+}
+
 } // namespace rasengan

@@ -332,13 +332,10 @@ explicitlyConfigured()
 }
 
 bool
-configureFromSpec(const std::string &value, bool defaultOn)
+configureFromSpec(const std::string &value)
 {
-    if (value.empty()) {
-        if (defaultOn)
-            configure();
-        return defaultOn;
-    }
+    if (value.empty())
+        return enabled();
     if (value == "0" || value == "off" || value == "OFF") {
         disable();
         return false;
@@ -356,13 +353,6 @@ configureFromSpec(const std::string &value, bool defaultOn)
     }
     configure(); // "1", "on", anything else affirmative
     return true;
-}
-
-bool
-configureFromEnv(bool defaultOn)
-{
-    const char *env = std::getenv("RASENGAN_FLIGHT");
-    return configureFromSpec(env ? env : "", defaultOn);
 }
 
 void

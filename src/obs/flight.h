@@ -72,19 +72,15 @@ void configure(size_t entries = kDefaultEntries);
 void disable();
 
 /**
- * Apply the RASENGAN_FLIGHT environment convention:
- *   unset/""       -> @p defaultOn decides
+ * Apply a --flight spec:
+ *   ""             -> no decision (the daemon turns it on at start)
  *   "0"|"off"      -> disabled
  *   "1"|"on"       -> enabled with default capacity
  *   decimal number -> enabled with that many ring entries
  *   anything with a '/' -> enabled, value is the dump path
  * Returns true when the recorder ended up enabled.
  */
-bool configureFromEnv(bool defaultOn);
-
-/** The same convention applied to an explicit spec (the --flight CLI
- *  flag); "" falls back to @p defaultOn like an unset variable. */
-bool configureFromSpec(const std::string &spec, bool defaultOn);
+bool configureFromSpec(const std::string &spec);
 
 /** True once configure() or disable() ran: an explicit decision was
  *  made, so later default-on paths (the daemon) must not override it. */

@@ -68,23 +68,6 @@ renderLabelsWith(const Labels &labels, const std::string &key,
     return renderLabels(merged);
 }
 
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -682,6 +665,33 @@ parseInstrumentKey(const std::string &key, std::string *name,
     *name = key.substr(0, brace);
     *labels = std::move(parsed);
     return true;
+}
+
+std::string
+jsonEscape(const std::string &raw)
+{
+    std::string out;
+    out.reserve(raw.size());
+    for (unsigned char c : raw) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out.push_back(static_cast<char>(c));
+            }
+        }
+    }
+    return out;
 }
 
 std::string

@@ -255,6 +255,14 @@ class Registry
     std::map<InstrumentKey, std::unique_ptr<Instrument>> instruments_;
 };
 
+/**
+ * JSON string escaping (quotes not included): the one escaper for every
+ * JSON writer -- serve's result and journal lines, the Chrome trace and
+ * the metrics JSON.  Quote, backslash and every byte below 0x20 are
+ * escaped (RFC 8259), so any input renders as a valid JSON string.
+ */
+std::string jsonEscape(const std::string &raw);
+
 /** Escape a Prometheus label value (backslash, quote, newline). */
 std::string promEscapeLabelValue(const std::string &raw);
 

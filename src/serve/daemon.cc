@@ -6,17 +6,15 @@
 #include <cstring>
 #include <utility>
 
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/build_info.h"
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/socket.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -52,6 +50,9 @@ struct DaemonCounters
         "serve_daemon_connections_total", "Client connections accepted");
     obs::Counter &drains = obs::Registry::global().counter(
         "serve_daemon_drains_total", "Graceful drains initiated");
+    obs::Counter &resultsAppendFailures = obs::Registry::global().counter(
+        "serve_daemon_results_append_failures_total",
+        "Result lines that could not be appended to the --results file");
 };
 
 DaemonCounters &
@@ -59,94 +60,6 @@ daemonCounters()
 {
     static DaemonCounters counters;
     return counters;
-}
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/** "unix:PATH" | "tcp:PORT" | "tcp:HOST:PORT" -> bound+listening fd. */
-int
-bindListener(const std::string &spec, std::string *unix_path,
-             int *bound_port, std::string *error)
-{
-    if (spec.rfind("unix:", 0) == 0) {
-        const std::string path = spec.substr(5);
-        if (path.empty() || path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-            *error = "bad unix socket path \"" + path + "\"";
-            return -1;
-        }
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            *error = "socket(AF_UNIX) failed";
-            return -1;
-        }
-        ::unlink(path.c_str()); // stale socket from a crashed daemon
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            *error = "cannot bind/listen on " + spec + ": " +
-                     std::strerror(errno);
-            ::close(fd);
-            return -1;
-        }
-        *unix_path = path;
-        return fd;
-    }
-    if (spec.rfind("tcp:", 0) == 0) {
-        std::string rest = spec.substr(4);
-        std::string host = "127.0.0.1";
-        std::string port = rest;
-        size_t colon = rest.rfind(':');
-        if (colon != std::string::npos) {
-            host = rest.substr(0, colon);
-            port = rest.substr(colon + 1);
-        }
-        int portNum = 0;
-        for (char c : port) {
-            if (c < '0' || c > '9') {
-                *error = "bad tcp port \"" + port + "\"";
-                return -1;
-            }
-            portNum = portNum * 10 + (c - '0');
-        }
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            *error = "socket(AF_INET) failed";
-            return -1;
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(portNum));
-        addr.sin_addr.s_addr = host == "0.0.0.0"
-                                   ? htonl(INADDR_ANY)
-                                   : htonl(INADDR_LOOPBACK);
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            *error = "cannot bind/listen on " + spec + ": " +
-                     std::strerror(errno);
-            ::close(fd);
-            return -1;
-        }
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        ::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &len);
-        *bound_port = ntohs(bound.sin_port);
-        return fd;
-    }
-    *error = "listen spec must be unix:PATH or tcp:[HOST:]PORT, got \"" +
-             spec + "\"";
-    return -1;
 }
 
 std::string
@@ -232,6 +145,8 @@ Daemon::stats() const
     s.replayed = statReplayed_.load(std::memory_order_relaxed);
     s.drainCancelled =
         statDrainCancelled_.load(std::memory_order_relaxed);
+    s.resultsAppendFailures =
+        statResultsAppendFailures_.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         s.queueDepth = queue_.size();
@@ -347,32 +262,23 @@ Daemon::start(std::string *error)
         }
     }
 
-    if (!options_.resultsPath.empty()) {
-        resultsFile_ = std::fopen(options_.resultsPath.c_str(), "ab");
-        if (resultsFile_ == nullptr) {
-            if (error != nullptr)
-                *error = "cannot open results file " +
-                         options_.resultsPath;
-            journal_.close();
-            return false;
-        }
-    }
-
-    std::string bindErr;
-    listenFd_ =
-        bindListener(options_.listen, &unixPath_, &boundPort_, &bindErr);
-    if (listenFd_ < 0) {
+    std::string why;
+    if ((!options_.resultsPath.empty() &&
+         !results_.open(options_.resultsPath, /*sync=*/false, &why)) ||
+        !listenOn(options_.listen, &listener_, &why)) {
         if (error != nullptr)
-            *error = bindErr;
+            *error = why;
+        results_.close();
         journal_.close();
         return false;
     }
-    setNonBlocking(listenFd_);
+    setNonBlocking(listener_.fd);
     if (::pipe(controlPipe_) != 0) {
         if (error != nullptr)
             *error = "pipe() failed";
-        ::close(listenFd_);
-        listenFd_ = -1;
+        ::close(listener_.fd);
+        listener_.fd = -1;
+        results_.close();
         journal_.close();
         return false;
     }
@@ -388,11 +294,11 @@ Daemon::start(std::string *error)
         enqueue(std::move(job));
     }
 
-    // Flight recorder: always on for a daemon unless RASENGAN_FLIGHT
-    // or an explicit --flight decision turned it off; SIGQUIT (and
-    // fatal signals) dump the ring.
+    // Flight recorder: always on for a daemon unless an explicit
+    // --flight decision turned it off; SIGQUIT (and fatal signals) dump
+    // the ring.
     if (!obs::flight::explicitlyConfigured())
-        obs::flight::configureFromEnv(/*defaultOn=*/true);
+        obs::flight::configure();
     obs::flight::installSignalHandlers();
 
     // Build identity + uptime, so /metrics says exactly what is
@@ -465,9 +371,9 @@ Daemon::ioLoop()
         // Drain (in drainControlPipe below) closes the listener
         // mid-iteration; remember the layout fds was built with so the
         // connection indexes stay aligned.
-        const bool polledListener = listenFd_ >= 0;
+        const bool polledListener = listener_.fd >= 0;
         if (polledListener)
-            fds.push_back({listenFd_, POLLIN, 0});
+            fds.push_back({listener_.fd, POLLIN, 0});
         const size_t polledConns = conns_.size();
         for (const Conn &conn : conns_) {
             short events = POLLIN;
@@ -485,7 +391,7 @@ Daemon::ioLoop()
 
         size_t cursor = 1;
         if (polledListener) {
-            if (listenFd_ >= 0 && (fds[cursor].revents & POLLIN))
+            if (listener_.fd >= 0 && (fds[cursor].revents & POLLIN))
                 acceptClients();
             ++cursor;
         }
@@ -541,21 +447,17 @@ Daemon::ioLoop()
 
     for (size_t i = conns_.size(); i-- > 0;)
         closeConn(i);
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
+    if (listener_.fd >= 0) {
+        ::close(listener_.fd);
+        listener_.fd = -1;
     }
-    if (!unixPath_.empty())
-        ::unlink(unixPath_.c_str());
+    if (!listener_.unixPath.empty())
+        ::unlink(listener_.unixPath.c_str());
     {
         std::lock_guard<std::mutex> lock(journalMutex_);
         journal_.close();
     }
-    if (resultsFile_ != nullptr) {
-        std::fflush(resultsFile_);
-        std::fclose(resultsFile_);
-        resultsFile_ = nullptr;
-    }
+    results_.close();
     ::close(controlPipe_[0]);
     ::close(controlPipe_[1]);
     controlPipe_[0] = controlPipe_[1] = -1;
@@ -594,13 +496,13 @@ Daemon::beginDrain()
         return; // already draining
     daemonCounters().drains.inc();
     obs::instantEvent("daemon", "drain", options_.listen);
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
+    if (listener_.fd >= 0) {
+        ::close(listener_.fd);
+        listener_.fd = -1;
     }
-    if (!unixPath_.empty()) {
-        ::unlink(unixPath_.c_str());
-        unixPath_.clear();
+    if (!listener_.unixPath.empty()) {
+        ::unlink(listener_.unixPath.c_str());
+        listener_.unixPath.clear();
     }
     std::lock_guard<std::mutex> lock(queueMutex_);
     drainRequested_ = true;
@@ -673,14 +575,12 @@ void
 Daemon::acceptClients()
 {
     while (true) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
+        int fd = ::accept(listener_.fd, nullptr, nullptr);
         if (fd < 0)
             break;
         setNonBlocking(fd);
-        Conn conn;
-        conn.fd = fd;
-        conn.id = nextConnId_++;
-        conns_.push_back(std::move(conn));
+        conns_.push_back(Conn{fd, nextConnId_++,
+                              LineFramer(options_.maxLineBytes), "", false});
         statConnections_.fetch_add(1, std::memory_order_relaxed);
         daemonCounters().connections.inc();
     }
@@ -694,49 +594,29 @@ Daemon::readClient(Conn &conn)
         ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n == 0) {
             // Peer closed its write side; drop the connection once our
-            // buffered responses are flushed.
+            // buffered responses are flushed (an unfinished line is
+            // dropped with it).
             conn.closeAfterFlush = true;
             break;
         }
         if (n < 0)
             break; // EAGAIN or error; poll again
-        for (ssize_t i = 0; i < n; ++i) {
-            char c = buf[i];
-            if (c == '\n') {
-                if (conn.skippingLongLine || conn.lineHasNul) {
-                    // Same uniform defect handling as LineReader:
-                    // oversized or NUL-bearing lines are rejected whole,
-                    // never parsed.
-                    JobResult r;
-                    r.rejectReason =
-                        conn.lineHasNul
-                            ? "request line contains a NUL byte"
-                            : "request line exceeds " +
-                                  std::to_string(options_.maxLineBytes) +
-                                  " bytes";
-                    conn.skippingLongLine = false;
-                    conn.lineHasNul = false;
-                    r.rejectCode = "validation";
-                    statRejected_.fetch_add(1,
-                                            std::memory_order_relaxed);
-                    respond(conn, writeResult(r));
-                } else {
-                    std::string line = std::move(conn.inBuffer);
-                    if (!line.empty() && line.back() == '\r')
-                        line.pop_back();
-                    if (!line.empty())
-                        handleLine(conn, line);
-                }
-                conn.inBuffer.clear();
-            } else if (c == '\0') {
-                conn.inBuffer.clear();
-                conn.lineHasNul = true;
-            } else if (!conn.skippingLongLine && !conn.lineHasNul) {
-                conn.inBuffer.push_back(c);
-                if (conn.inBuffer.size() > options_.maxLineBytes) {
-                    conn.inBuffer.clear();
-                    conn.skippingLongLine = true;
-                }
+        LineFramer::Line line;
+        for (size_t pos = 0; pos < static_cast<size_t>(n);) {
+            pos += conn.framer.feed(buf + pos, static_cast<size_t>(n) - pos,
+                                    line);
+            if (line.ok) {
+                handleLine(conn, line.text);
+            } else if (line.number != 0) {
+                // Same uniform defect handling as request files:
+                // oversized or NUL-bearing lines are rejected whole,
+                // never parsed.
+                JobResult r;
+                r.rejectReason =
+                    std::string("request line ") + line.defect();
+                r.rejectCode = "validation";
+                statRejected_.fetch_add(1, std::memory_order_relaxed);
+                respond(conn, writeResult(r));
             }
         }
     }
@@ -1074,10 +954,12 @@ Daemon::finishJob(const QueuedJob &job, const JobResult &result,
                 warn("daemon: cannot journal the result of job '{}'",
                      job.prepared.req.id);
         }
-        if (resultsFile_ != nullptr) {
-            std::fwrite(line.data(), 1, line.size(), resultsFile_);
-            std::fputc('\n', resultsFile_);
-            std::fflush(resultsFile_);
+        if (results_.isOpen() && !results_.append(line)) {
+            statResultsAppendFailures_.fetch_add(1,
+                                                 std::memory_order_relaxed);
+            daemonCounters().resultsAppendFailures.inc();
+            warn("daemon: cannot append the result of job '{}' to {}",
+                 job.prepared.req.id, options_.resultsPath);
         }
         statCompleted_.fetch_add(1, std::memory_order_relaxed);
 

@@ -51,7 +51,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <memory>
@@ -60,6 +59,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/fileio.h"
+#include "common/socket.h"
 #include "exec/cancel.h"
 #include "serve/admission.h"
 #include "serve/config.h"
@@ -73,12 +74,13 @@ namespace rasengan::serve {
 
 struct DaemonOptions : ServiceConfig
 {
-    /** "unix:PATH", "tcp:PORT", or "tcp:HOST:PORT" (loopback default;
-     *  tcp:0 binds an ephemeral port, see Daemon::boundPort). */
+    /** "unix:PATH", "tcp:PORT" or "tcp:HOST:PORT" (common/socket
+     *  listenOn; tcp:0 binds an ephemeral port, see Daemon::boundPort). */
     std::string listen = "unix:rasengand.sock";
     /** Write-ahead journal path; "" runs without crash safety. */
     std::string journalPath;
-    /** Mirror of every result line (appended as jobs finish); "". */
+    /** Mirror of every result line (appended as jobs finish); "".  A
+     *  failed append warns and counts, see resultsAppendFailures. */
     std::string resultsPath;
     /** Segment-checkpoint directory for drain/crash resume; "". */
     std::string checkpointDir;
@@ -112,6 +114,7 @@ struct DaemonStats
     uint64_t completed = 0; ///< jobs run to a terminal result
     uint64_t replayed = 0;  ///< pending jobs re-run from the journal
     uint64_t drainCancelled = 0; ///< in-flight jobs checkpointed by drain
+    uint64_t resultsAppendFailures = 0; ///< --results lines not written
     size_t queueDepth = 0;
 };
 
@@ -153,7 +156,7 @@ class Daemon
     bool running() const { return running_.load(std::memory_order_acquire); }
 
     /** Bound TCP port (after start; 0 for unix sockets). */
-    int boundPort() const { return boundPort_; }
+    int boundPort() const { return listener_.port; }
 
     DaemonStats stats() const;
 
@@ -171,12 +174,10 @@ class Daemon
   private:
     struct Conn
     {
-        int fd = -1;
-        uint64_t id = 0;        ///< generation id (fds are reused)
-        std::string inBuffer;   ///< unframed request bytes
+        int fd;
+        uint64_t id;            ///< generation id (fds are reused)
+        LineFramer framer;      ///< request bytes -> lines
         std::string outBuffer;  ///< unsent response bytes
-        bool skippingLongLine = false;
-        bool lineHasNul = false; ///< current line carries a NUL byte
         bool closeAfterFlush = false; ///< HTTP probe connections
     };
 
@@ -235,9 +236,7 @@ class Daemon
     Journal journal_;
     std::mutex journalMutex_; ///< serializes appends vs. compaction
 
-    int listenFd_ = -1;
-    int boundPort_ = 0;
-    std::string unixPath_; ///< unlinked on shutdown when non-empty
+    Listener listener_; ///< its unix path is unlinked on shutdown
     int controlPipe_[2] = {-1, -1};
 
     std::vector<Conn> conns_;
@@ -255,7 +254,7 @@ class Daemon
     std::mutex completionMutex_;
     std::deque<Completion> completions_;
 
-    std::FILE *resultsFile_ = nullptr;
+    RecordLog results_; ///< the --results mirror
 
     uint64_t arrivalCounter_ = 0;
     std::chrono::steady_clock::time_point epoch_;
@@ -269,6 +268,7 @@ class Daemon
     std::atomic<uint64_t> statCompleted_{0};
     std::atomic<uint64_t> statReplayed_{0};
     std::atomic<uint64_t> statDrainCancelled_{0};
+    std::atomic<uint64_t> statResultsAppendFailures_{0};
     std::atomic<uint64_t> statPolicyReloads_{0};
 
     std::thread ioThread_;

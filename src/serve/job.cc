@@ -21,82 +21,6 @@ const std::set<std::string> kNoises = {"none", "kyiv", "brisbane"};
 const std::set<std::string> kPriorities = {"interactive", "batch",
                                            "best-effort"};
 
-const std::set<std::string> kKnownKeys = {
-    "id",         "benchmark",  "case",       "problem",
-    "algorithm",  "iterations", "seed",       "optimizer",
-    "execution",  "noise",      "shots",      "transitions_per_segment",
-    "simplify",   "prune",      "purify",     "shot_growth",
-    "penalty_lambda", "layers", "fault_rate", "max_attempts",
-    "priority",   "deadline_ms", "timeout_ms", "trace",
-};
-
-bool
-getString(const JsonObject &obj, const std::string &key, std::string &out,
-          std::string &err)
-{
-    auto it = obj.find(key);
-    if (it == obj.end())
-        return true;
-    if (it->second.kind != JsonValue::Kind::String) {
-        err = "\"" + key + "\" must be a string";
-        return false;
-    }
-    out = it->second.str;
-    return true;
-}
-
-bool
-getNumber(const JsonObject &obj, const std::string &key, double &out,
-          std::string &err)
-{
-    auto it = obj.find(key);
-    if (it == obj.end())
-        return true;
-    if (it->second.kind != JsonValue::Kind::Number) {
-        err = "\"" + key + "\" must be a number";
-        return false;
-    }
-    out = it->second.num;
-    return true;
-}
-
-bool
-getBool(const JsonObject &obj, const std::string &key, bool &out,
-        std::string &err)
-{
-    auto it = obj.find(key);
-    if (it == obj.end())
-        return true;
-    if (it->second.kind != JsonValue::Kind::Bool) {
-        err = "\"" + key + "\" must be a boolean";
-        return false;
-    }
-    out = it->second.flag;
-    return true;
-}
-
-bool
-toInt(double v, int &out, const char *what, std::string &err)
-{
-    if (v != std::floor(v) || v < -2147483648.0 || v > 2147483647.0) {
-        err = std::string(what) + " must be an integer";
-        return false;
-    }
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
-toU64(double v, uint64_t &out, const char *what, std::string &err)
-{
-    if (v != std::floor(v) || v < 0.0 || v > 9.0e15) {
-        err = std::string(what) + " must be a non-negative integer";
-        return false;
-    }
-    out = static_cast<uint64_t>(v);
-    return true;
-}
-
 std::string
 fmtDouble(double v)
 {
@@ -118,70 +42,37 @@ parseRequest(const std::string &line)
                        parsed.error;
         return result;
     }
-    for (const auto &[key, value] : parsed.object) {
-        (void)value;
-        if (kKnownKeys.find(key) == kKnownKeys.end()) {
-            result.error = "unknown request key \"" + key + "\"";
-            return result;
-        }
-    }
-
     JobRequest &req = result.request;
-    std::string &err = result.error;
-    double num;
-
-    if (!getString(parsed.object, "id", req.id, err) ||
-        !getString(parsed.object, "benchmark", req.benchmark, err) ||
-        !getString(parsed.object, "problem", req.problemText, err) ||
-        !getString(parsed.object, "algorithm", req.algorithm, err) ||
-        !getString(parsed.object, "optimizer", req.optimizer, err) ||
-        !getString(parsed.object, "execution", req.execution, err) ||
-        !getString(parsed.object, "noise", req.noise, err) ||
-        !getBool(parsed.object, "simplify", req.simplify, err) ||
-        !getBool(parsed.object, "prune", req.prune, err) ||
-        !getBool(parsed.object, "purify", req.purify, err))
+    FieldReader f(parsed.object);
+    f.optional("id", &req.id)
+        .optional("benchmark", &req.benchmark)
+        .optional("case", &req.caseIndex)
+        .optional("problem", &req.problemText)
+        .optional("algorithm", &req.algorithm)
+        .optional("iterations", &req.iterations)
+        .optional("seed", &req.seed)
+        .optional("optimizer", &req.optimizer)
+        .optional("execution", &req.execution)
+        .optional("noise", &req.noise)
+        .optional("shots", &req.shots)
+        .optional("transitions_per_segment", &req.transitionsPerSegment)
+        .optional("simplify", &req.simplify)
+        .optional("prune", &req.prune)
+        .optional("purify", &req.purify)
+        .optional("shot_growth", &req.shotGrowth)
+        .optional("penalty_lambda", &req.penaltyLambda)
+        .optional("layers", &req.layers)
+        .optional("fault_rate", &req.faultRate)
+        .optional("max_attempts", &req.maxAttempts)
+        .optional("priority", &req.priority)
+        .optional("deadline_ms", &req.deadlineMs)
+        .optional("timeout_ms", &req.timeoutMs)
+        .optional("trace", &req.traceHint)
+        .noOtherKeys("request");
+    if (!f.ok()) {
+        result.error = f.error();
         return result;
-
-    num = static_cast<double>(req.caseIndex);
-    if (!getNumber(parsed.object, "case", num, err) ||
-        !toU64(num, req.caseIndex, "\"case\"", err))
-        return result;
-    num = static_cast<double>(req.iterations);
-    if (!getNumber(parsed.object, "iterations", num, err) ||
-        !toInt(num, req.iterations, "\"iterations\"", err))
-        return result;
-    num = static_cast<double>(req.seed);
-    if (!getNumber(parsed.object, "seed", num, err) ||
-        !toU64(num, req.seed, "\"seed\"", err))
-        return result;
-    num = static_cast<double>(req.shots);
-    if (!getNumber(parsed.object, "shots", num, err) ||
-        !toU64(num, req.shots, "\"shots\"", err))
-        return result;
-    num = static_cast<double>(req.transitionsPerSegment);
-    if (!getNumber(parsed.object, "transitions_per_segment", num, err) ||
-        !toInt(num, req.transitionsPerSegment,
-               "\"transitions_per_segment\"", err))
-        return result;
-    num = static_cast<double>(req.layers);
-    if (!getNumber(parsed.object, "layers", num, err) ||
-        !toInt(num, req.layers, "\"layers\"", err))
-        return result;
-    num = static_cast<double>(req.maxAttempts);
-    if (!getNumber(parsed.object, "max_attempts", num, err) ||
-        !toInt(num, req.maxAttempts, "\"max_attempts\"", err))
-        return result;
-    if (!getNumber(parsed.object, "shot_growth", req.shotGrowth, err) ||
-        !getNumber(parsed.object, "penalty_lambda", req.penaltyLambda,
-                   err) ||
-        !getNumber(parsed.object, "fault_rate", req.faultRate, err))
-        return result;
-    if (!getString(parsed.object, "priority", req.priority, err) ||
-        !getNumber(parsed.object, "deadline_ms", req.deadlineMs, err) ||
-        !getNumber(parsed.object, "timeout_ms", req.timeoutMs, err) ||
-        !getString(parsed.object, "trace", req.traceHint, err))
-        return result;
-
+    }
     result.ok = true;
     return result;
 }

@@ -3,10 +3,6 @@
 #include <fstream>
 #include <unordered_map>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "common/fileio.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "serve/jsonl.h"
@@ -34,29 +30,6 @@ journalCounters()
     return counters;
 }
 
-/** Required string field or nullptr. */
-const std::string *
-strField(const JsonObject &obj, const char *key)
-{
-    auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != JsonValue::Kind::String)
-        return nullptr;
-    return &it->second.str;
-}
-
-bool
-seqField(const JsonObject &obj, uint64_t *out)
-{
-    auto it = obj.find("seq");
-    if (it == obj.end() || it->second.kind != JsonValue::Kind::Number)
-        return false;
-    double v = it->second.num;
-    if (v < 1.0 || v != static_cast<double>(static_cast<uint64_t>(v)))
-        return false;
-    *out = static_cast<uint64_t>(v);
-    return true;
-}
-
 } // namespace
 
 std::vector<const JournalJob *>
@@ -69,21 +42,17 @@ JournalReplay::pending() const
     return out;
 }
 
-Journal::~Journal() { close(); }
-
 bool
 Journal::open(const std::string &path, uint64_t next_seq,
               std::string *error)
 {
-    panic_if(fd_ >= 0, "Journal::open called twice");
-    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                 0644);
-    if (fd_ < 0) {
+    panic_if(isOpen(), "Journal::open called twice");
+    std::string why;
+    if (!log_.open(path, /*sync=*/true, &why)) {
         if (error != nullptr)
-            *error = "cannot open journal " + path + " for append";
+            *error = "journal: " + why;
         return false;
     }
-    path_ = path;
     nextSeq_ = next_seq;
     return true;
 }
@@ -91,16 +60,10 @@ Journal::open(const std::string &path, uint64_t next_seq,
 bool
 Journal::appendLine(const std::string &line)
 {
-    // Caller holds mutex_.  write() pushes the record into the kernel;
-    // fdatasync makes it survive power loss, not just a SIGKILL.  One
-    // syscall pair per record is affordable: journal appends are
-    // O(jobs), job execution is O(seconds).
-    panic_if(fd_ < 0, "Journal append before open");
-    std::string record = torn_ ? "\n" + line : line;
-    record += '\n';
-    const bool ok = writeAll(fd_, record.data(), record.size()) &&
-                    ::fdatasync(fd_) == 0;
-    torn_ = !ok;
+    // Caller holds mutex_.  One write + fdatasync per record is
+    // affordable: journal appends are O(jobs), execution O(seconds).
+    panic_if(!isOpen(), "Journal append before open");
+    const bool ok = log_.append(line);
     if (ok)
         journalCounters().appends.inc();
     else
@@ -169,23 +132,10 @@ Journal::appendShed(uint64_t seq, const std::string &id,
 }
 
 void
-Journal::sync()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ >= 0)
-        ::fdatasync(fd_);
-}
-
-void
 Journal::close()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ >= 0) {
-        ::fdatasync(fd_);
-        ::close(fd_);
-        fd_ = -1;
-        torn_ = false;
-    }
+    log_.close();
 }
 
 JournalReplay
@@ -202,50 +152,44 @@ Journal::replay(const std::string &path)
     // seq -> index into replay.jobs; ids may repeat across requests,
     // sequence numbers never do.
     std::unordered_map<uint64_t, size_t> bySeq;
+    auto debris = [&replay](size_t &counter) {
+        ++counter;
+        journalCounters().replayMalformed.inc();
+    };
     LineReader reader(in);
     LineReader::Line line;
     while (reader.next(line)) {
         if (!line.ok) {
             if (line.oversized)
-                ++replay.oversizedLines;
+                debris(replay.oversizedLines);
             else if (line.hasNul)
-                ++replay.malformedLines; // zero-filled crash debris
+                debris(replay.malformedLines); // zero-filled crash debris
             else
-                ++replay.truncatedLines;
-            journalCounters().replayMalformed.inc();
+                debris(replay.truncatedLines);
             continue;
         }
         JsonParseResult parsed = parseFlatJson(line.text);
-        if (!parsed.ok) {
-            ++replay.malformedLines;
-            journalCounters().replayMalformed.inc();
-            continue;
-        }
-        const JsonObject &obj = parsed.object;
-        const std::string *type = strField(obj, "type");
+        FieldReader f(parsed.object);
+        std::string type;
         uint64_t seq = 0;
-        if (type == nullptr || !seqField(obj, &seq)) {
-            ++replay.malformedLines;
-            journalCounters().replayMalformed.inc();
+        f.required("type", &type).required("seq", &seq);
+        if (!parsed.ok || !f.ok() || seq < 1) {
+            debris(replay.malformedLines);
             continue;
         }
         if (seq >= replay.nextSeq)
             replay.nextSeq = seq + 1;
 
-        if (*type == "accepted") {
-            const std::string *id = strField(obj, "id");
-            const std::string *fp = strField(obj, "fingerprint");
-            const std::string *req = strField(obj, "request");
-            if (id == nullptr || fp == nullptr || req == nullptr) {
-                ++replay.malformedLines;
-                journalCounters().replayMalformed.inc();
-                continue;
-            }
+        if (type == "accepted") {
             JournalJob job;
             job.seq = seq;
-            job.id = *id;
-            job.fingerprint = *fp;
-            job.requestLine = *req;
+            if (!f.required("id", &job.id)
+                     .required("fingerprint", &job.fingerprint)
+                     .required("request", &job.requestLine)
+                     .ok()) {
+                debris(replay.malformedLines);
+                continue;
+            }
             bySeq[seq] = replay.jobs.size();
             replay.jobs.push_back(std::move(job));
             continue;
@@ -254,29 +198,23 @@ Journal::replay(const std::string &path)
         // Transition records must reference a known accepted record; a
         // dangling one means its accepted line was itself corrupt.
         auto it = bySeq.find(seq);
-        if (it == bySeq.end()) {
-            ++replay.malformedLines;
-            journalCounters().replayMalformed.inc();
+        std::string result;
+        if (it == bySeq.end() ||
+            (type == "done" && !f.required("result", &result).ok())) {
+            debris(replay.malformedLines);
             continue;
         }
         JournalJob &job = replay.jobs[it->second];
-        if (*type == "running") {
+        if (type == "running") {
             job.started = true;
-        } else if (*type == "done") {
-            const std::string *result = strField(obj, "result");
-            if (result == nullptr) {
-                ++replay.malformedLines;
-                journalCounters().replayMalformed.inc();
-                continue;
-            }
+        } else if (type == "done") {
             job.done = true;
             job.shed = false;
-            job.resultLine = *result;
-        } else if (*type == "shed") {
+            job.resultLine = std::move(result);
+        } else if (type == "shed") {
             job.shed = true;
         } else {
-            ++replay.malformedLines;
-            journalCounters().replayMalformed.inc();
+            debris(replay.malformedLines);
         }
     }
     replay.ok = true;

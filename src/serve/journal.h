@@ -5,9 +5,9 @@
  * Every accepted request is appended -- with its content fingerprint
  * and the full request line -- before the daemon acknowledges it, and
  * every state transition (running, done, failed, shed) is appended as
- * it happens.  Appends are written and fdatasync'd per record, so after
- * a SIGKILL the journal is at worst missing (or tearing) its final
- * line.  Replay tolerates exactly that: malformed or truncated trailing
+ * it happens.  Appends go through RecordLog (common/fileio), written
+ * and fdatasync'd per record, so after a SIGKILL the journal is at
+ * worst missing (or tearing) its final line.  Replay tolerates exactly that: malformed or truncated trailing
  * records are skipped and counted, never fatal.  An append that fails
  * (a full disk, an I/O error) is reported to the caller, so the daemon
  * never acknowledges a job it could not journal; the next append starts
@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fileio.h"
 #include "serve/job.h"
 
 namespace rasengan::serve {
@@ -89,7 +90,6 @@ class Journal
 {
   public:
     Journal() = default;
-    ~Journal();
     Journal(const Journal &) = delete;
     Journal &operator=(const Journal &) = delete;
 
@@ -101,8 +101,7 @@ class Journal
     bool open(const std::string &path, uint64_t next_seq = 1,
               std::string *error = nullptr);
 
-    bool isOpen() const { return fd_ >= 0; }
-    const std::string &path() const { return path_; }
+    bool isOpen() const { return log_.isOpen(); }
 
     /**
      * Journal an accepted request; returns its sequence number, or 0
@@ -123,9 +122,6 @@ class Journal
     /** Terminal: job shed/rejected with a structured reason. */
     bool appendShed(uint64_t seq, const std::string &id,
                     const std::string &code, const std::string &reason);
-
-    /** fdatasync the journal (appends already do). */
-    void sync();
 
     void close();
 
@@ -150,11 +146,7 @@ class Journal
     bool appendLine(const std::string &line);
 
     std::mutex mutex_;
-    int fd_ = -1;
-    /** The last append failed, possibly mid-record: start the next
-     *  one on a fresh line. */
-    bool torn_ = false;
-    std::string path_;
+    RecordLog log_;
     uint64_t nextSeq_ = 1;
 };
 

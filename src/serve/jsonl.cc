@@ -1,9 +1,14 @@
 #include "serve/jsonl.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
+#include "obs/metrics.h"
 
 namespace rasengan::serve {
 
@@ -117,6 +122,13 @@ parseString(Cursor &cur, std::string &out, std::string &err)
                   err = "unknown escape character";
                   return false;
             }
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[48];
+            std::snprintf(buf, sizeof(buf),
+                          "unescaped control byte 0x%02x in string",
+                          static_cast<unsigned char>(c));
+            err = buf;
+            return false;
         } else {
             out.push_back(c);
         }
@@ -205,111 +217,246 @@ parseFlatJson(const std::string &line)
     return result;
 }
 
+void
+FieldReader::fail(const char *key, const char *what)
+{
+    if (error_.empty())
+        error_ = std::string("\"") + key + "\" " + what;
+}
+
+const JsonValue *
+FieldReader::find(const char *key, JsonValue::Kind kind,
+                  const char *kindName, bool required)
+{
+    if (!error_.empty())
+        return nullptr;
+    seen_.push_back(key);
+    auto it = obj_.find(key);
+    if (it == obj_.end()) {
+        if (required)
+            fail(key, "is missing");
+        return nullptr;
+    }
+    if (it->second.kind != kind) {
+        fail(key, kindName);
+        return nullptr;
+    }
+    return &it->second;
+}
+
+void
+FieldReader::read(const char *key, std::string *out, bool required)
+{
+    if (const JsonValue *v =
+            find(key, JsonValue::Kind::String, "must be a string", required))
+        *out = v->str;
+}
+
+void
+FieldReader::read(const char *key, bool *out, bool required)
+{
+    if (const JsonValue *v =
+            find(key, JsonValue::Kind::Bool, "must be a boolean", required))
+        *out = v->flag;
+}
+
+void
+FieldReader::read(const char *key, double *out, bool required)
+{
+    // parseFlatJson admits finite numbers only.
+    if (const JsonValue *v =
+            find(key, JsonValue::Kind::Number, "must be a number", required))
+        *out = v->num;
+}
+
+const double *
+FieldReader::integer(const char *key, bool required, double lo, double hi,
+                     const char *what)
+{
+    const JsonValue *v =
+        find(key, JsonValue::Kind::Number, "must be a number", required);
+    if (v != nullptr &&
+        (v->num != std::floor(v->num) || v->num < lo || v->num > hi)) {
+        fail(key, what);
+        return nullptr;
+    }
+    return v != nullptr ? &v->num : nullptr;
+}
+
+void
+FieldReader::read(const char *key, int *out, bool required)
+{
+    if (const double *v = integer(key, required, -2147483648.0,
+                                  2147483647.0, "must be an integer"))
+        *out = static_cast<int>(*v);
+}
+
+void
+FieldReader::read(const char *key, uint64_t *out, bool required)
+{
+    if (const double *v = integer(key, required, 0.0, 0x1p53,
+                                  "must be a non-negative integer"))
+        *out = static_cast<uint64_t>(*v);
+}
+
+FieldReader &
+FieldReader::decimal(const char *key, uint64_t *out)
+{
+    std::string text;
+    read(key, &text, true);
+    if (!ok())
+        return *this;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE)
+        fail(key, "must be a decimal string of a 64-bit unsigned integer");
+    else
+        *out = v;
+    return *this;
+}
+
+FieldReader &
+FieldReader::noOtherKeys(const char *what)
+{
+    if (!error_.empty())
+        return *this;
+    for (const auto &entry : obj_) {
+        const std::string &key = entry.first;
+        if (std::none_of(seen_.begin(), seen_.end(),
+                         [&key](const char *k) { return key == k; })) {
+            error_ = std::string("unknown ") + what + " key \"" + key + "\"";
+            break;
+        }
+    }
+    return *this;
+}
+
+void
+LineFramer::append(const char *bytes, size_t n)
+{
+    if (n == 0)
+        return;
+    pending_ = true;
+    if (nul_)
+        return;
+    if (std::memchr(bytes, '\0', n) != nullptr) {
+        // NUL cannot appear in a valid JSONL record; drop the text now
+        // so a zero-filled journal block cannot smuggle a prefix past
+        // the parser, but keep framing to the newline.
+        nul_ = true;
+        text_.clear();
+        text_.shrink_to_fit();
+        return;
+    }
+    if (oversized_)
+        return;
+    const size_t total = text_.size() + n;
+    // One byte of slack for the '\r' a CRLF line sheds at its newline.
+    if (total > maxLineBytes_ &&
+        !(total == maxLineBytes_ + 1 && bytes[n - 1] == '\r')) {
+        oversized_ = true;
+        text_.clear();
+        text_.shrink_to_fit();
+        return;
+    }
+    text_.append(bytes, n);
+}
+
+bool
+LineFramer::endLine(Line &out, bool sawNewline)
+{
+    std::string text = std::move(text_);
+    text_.clear();
+    const bool nul = nul_;
+    const bool oversized = oversized_ && !nul;
+    pending_ = nul_ = oversized_ = false;
+    if (!text.empty() && text.back() == '\r')
+        text.pop_back();
+    if (!nul && !oversized && text.empty()) {
+        if (sawNewline) {
+            ++lineNumber_;
+            ++emptyLines_;
+        }
+        return false;
+    }
+    ++lineNumber_;
+    out.number = lineNumber_;
+    if (oversized) {
+        ++oversizedLines_;
+        out.oversized = true;
+        return true;
+    }
+    if (nul)
+        out.hasNul = true;
+    else
+        out.text = std::move(text);
+    if (!sawNewline) {
+        // Torn final line: a crash mid-append leaves a partial record
+        // with no newline.  Report it; never parse it.
+        ++truncatedLines_;
+        out.truncated = true;
+    }
+    out.ok = !nul && sawNewline;
+    return true;
+}
+
+size_t
+LineFramer::feed(const char *data, size_t size, Line &out)
+{
+    out = Line{};
+    size_t pos = 0;
+    while (pos < size) {
+        const char *start = data + pos;
+        const char *nl =
+            static_cast<const char *>(std::memchr(start, '\n', size - pos));
+        const size_t take =
+            nl ? static_cast<size_t>(nl - start) : size - pos;
+        append(start, take);
+        pos += take;
+        if (nl == nullptr)
+            break;
+        ++pos; // the newline
+        if (endLine(out, true))
+            break;
+    }
+    return pos;
+}
+
+const char *
+LineFramer::Line::defect() const
+{
+    return hasNul      ? "contains a NUL byte"
+           : oversized ? "exceeds the line-length cap"
+           : truncated ? "is truncated (no newline)"
+                       : "";
+}
+
+bool
+LineFramer::finish(Line &out)
+{
+    out = Line{};
+    return pending_ && endLine(out, false);
+}
+
 bool
 LineReader::next(Line &out)
 {
     while (true) {
-        out = Line{};
-        if (!in_.good())
-            return false;
-
-        // Read manually instead of std::getline so an oversized line
-        // can be drained without buffering it whole.
-        std::string text;
-        bool sawNewline = false;
-        bool oversized = false;
-        bool sawNul = false;
-        int c;
-        while ((c = in_.get()) != std::char_traits<char>::eof()) {
-            if (c == '\n') {
-                sawNewline = true;
-                break;
+        if (pos_ == len_) {
+            pos_ = len_ = 0;
+            if (in_.good()) {
+                in_.read(buf_, sizeof(buf_));
+                len_ = static_cast<size_t>(in_.gcount());
             }
-            if (c == '\r')
-                continue; // tolerate CRLF streams
-            if (c == '\0') {
-                // NUL cannot appear in a valid JSONL record; drop the
-                // text now so a zero-filled journal block cannot smuggle
-                // a prefix past the parser, but keep draining to the
-                // newline so the stream stays framed.
-                sawNul = true;
-                text.clear();
-                text.shrink_to_fit();
-                continue;
-            }
-            if (!oversized && !sawNul) {
-                text.push_back(static_cast<char>(c));
-                if (text.size() > maxLineBytes_) {
-                    oversized = true;
-                    text.clear();
-                    text.shrink_to_fit();
-                }
-            }
+            if (len_ == 0)
+                return finish(out);
         }
-        if (!sawNewline && text.empty() && !oversized && !sawNul)
-            return false; // clean end of stream
-
-        ++lineNumber_;
-        ++linesRead_;
-        out.number = lineNumber_;
-
-        if (sawNul) {
-            ++nulLines_;
-            out.hasNul = true;
-            if (!sawNewline) {
-                ++truncatedLines_;
-                out.truncated = true;
-            }
+        pos_ += feed(buf_ + pos_, len_ - pos_, out);
+        if (out.number != 0)
             return true;
-        }
-        if (oversized) {
-            ++oversizedLines_;
-            out.oversized = true;
-            return true;
-        }
-        if (!sawNewline) {
-            // Torn final line: a crash mid-append leaves a partial
-            // record with no newline.  Report it; never parse it.
-            ++truncatedLines_;
-            out.truncated = true;
-            out.text = std::move(text);
-            return true;
-        }
-        if (text.empty()) {
-            ++emptyLines_;
-            continue;
-        }
-        out.ok = true;
-        out.text = std::move(text);
-        return true;
     }
-}
-
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (unsigned char c : raw) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
-    return out;
 }
 
 void
@@ -317,14 +464,14 @@ JsonWriter::prefix(const std::string &key)
 {
     if (!body_.empty())
         body_ += ",";
-    body_ += "\"" + jsonEscape(key) + "\":";
+    body_ += "\"" + obs::jsonEscape(key) + "\":";
 }
 
 JsonWriter &
 JsonWriter::field(const std::string &key, const std::string &value)
 {
     prefix(key);
-    body_ += "\"" + jsonEscape(value) + "\"";
+    body_ += "\"" + obs::jsonEscape(value) + "\"";
     return *this;
 }
 
@@ -348,10 +495,7 @@ JsonWriter &
 JsonWriter::field(const std::string &key, int64_t value)
 {
     prefix(key);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    body_ += buf;
+    body_ += std::to_string(value);
     return *this;
 }
 
@@ -359,10 +503,7 @@ JsonWriter &
 JsonWriter::field(const std::string &key, uint64_t value)
 {
     prefix(key);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(value));
-    body_ += buf;
+    body_ += std::to_string(value);
     return *this;
 }
 

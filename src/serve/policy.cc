@@ -1,6 +1,5 @@
 #include "serve/policy.h"
 
-#include <cmath>
 #include <fstream>
 
 #include "serve/jsonl.h"
@@ -17,15 +16,6 @@ fail(const std::string &why)
     return r;
 }
 
-bool
-numberField(const JsonValue &value, double *out)
-{
-    if (value.kind != JsonValue::Kind::Number)
-        return false;
-    *out = value.num;
-    return true;
-}
-
 } // namespace
 
 PolicyParseResult
@@ -37,52 +27,42 @@ parsePolicyText(const std::string &line, const DaemonPolicy &base)
                     std::to_string(parsed.errorOffset) + ": " +
                     parsed.error);
 
+    // Unknown keys are an error, like parseRequest: a typo that
+    // silently kept the old limit would defeat the reload.
     PolicyParseResult out;
     out.policy = base;
-    for (const auto &[key, value] : parsed.object) {
-        double num = 0.0;
-        if (!numberField(value, &num))
-            return fail("policy key \"" + key + "\" must be a number");
-        if (key == "max_queue") {
-            if (num < 0.0)
-                return fail("max_queue must be >= 0");
-            out.policy.limits.maxQueuedJobs = static_cast<size_t>(num);
-        } else if (key == "max_qubits") {
-            if (num < 1.0)
-                return fail("max_qubits must be >= 1");
-            out.policy.limits.maxQubits = static_cast<int>(num);
-        } else if (key == "max_shots") {
-            if (num < 0.0)
-                return fail("max_shots must be >= 0");
-            out.policy.limits.maxShotsPerJob =
-                static_cast<uint64_t>(num);
-        } else if (key == "max_iterations") {
-            if (num < 1.0)
-                return fail("max_iterations must be >= 1");
-            out.policy.limits.maxIterationsPerJob =
-                static_cast<int>(num);
-        } else if (key == "max_job_cost") {
-            if (!(num > 0.0))
-                return fail("max_job_cost must be > 0");
-            out.policy.limits.maxJobCostUnits = num;
-        } else if (key == "max_batch_cost") {
-            if (!(num > 0.0))
-                return fail("max_batch_cost must be > 0");
-            out.policy.limits.maxBatchCostUnits = num;
-        } else if (key == "cost_rate") {
-            if (!(num > 0.0))
-                return fail("cost_rate must be > 0");
-            out.policy.slo.costUnitsPerSecond = num;
-        } else if (key == "shed_margin") {
-            if (num < 0.0 || num >= 1.0)
-                return fail("shed_margin must be in [0, 1)");
-            out.policy.slo.shedMargin = num;
-        } else {
-            // Unknown keys are an error, like parseRequest: a typo that
-            // silently kept the old limit would defeat the reload.
-            return fail("unknown policy key \"" + key + "\"");
-        }
-    }
+    AdmissionLimits &limits = out.policy.limits;
+    SloPolicy &slo = out.policy.slo;
+    FieldReader f(parsed.object);
+    f.optional("max_queue", &limits.maxQueuedJobs)
+        .optional("max_qubits", &limits.maxQubits)
+        .optional("max_shots", &limits.maxShotsPerJob)
+        .optional("max_iterations", &limits.maxIterationsPerJob)
+        .optional("max_job_cost", &limits.maxJobCostUnits)
+        .optional("max_batch_cost", &limits.maxBatchCostUnits)
+        .optional("cost_rate", &slo.costUnitsPerSecond)
+        .optional("shed_margin", &slo.shedMargin)
+        .noOtherKeys("policy");
+    if (!f.ok())
+        return fail("policy: " + f.error());
+    // Range checks cover only the keys the file names: the base may
+    // carry any value the command line allowed.
+    auto named = [&parsed](const char *key) {
+        return parsed.object.count(key) != 0;
+    };
+    if (named("max_qubits") && limits.maxQubits < 1)
+        return fail("max_qubits must be >= 1");
+    if (named("max_iterations") && limits.maxIterationsPerJob < 1)
+        return fail("max_iterations must be >= 1");
+    if (named("max_job_cost") && !(limits.maxJobCostUnits > 0.0))
+        return fail("max_job_cost must be > 0");
+    if (named("max_batch_cost") && !(limits.maxBatchCostUnits > 0.0))
+        return fail("max_batch_cost must be > 0");
+    if (named("cost_rate") && !(slo.costUnitsPerSecond > 0.0))
+        return fail("cost_rate must be > 0");
+    if (named("shed_margin") &&
+        (slo.shedMargin < 0.0 || slo.shedMargin >= 1.0))
+        return fail("shed_margin must be in [0, 1)");
     out.ok = true;
     return out;
 }
@@ -99,14 +79,9 @@ loadPolicyFile(const std::string &path, const DaemonPolicy &base)
     std::string text;
     bool found = false;
     while (reader.next(line)) {
-        if (!line.ok) {
-            const char *why = line.hasNul ? "contains a NUL byte"
-                              : line.oversized
-                                  ? "exceeds the line-length cap"
-                                  : "is truncated (no newline)";
+        if (!line.ok)
             return fail("policy file " + path + " line " +
-                        std::to_string(line.number) + " " + why);
-        }
+                        std::to_string(line.number) + " " + line.defect());
         if (found)
             return fail("policy file " + path +
                         " must contain exactly one object line");

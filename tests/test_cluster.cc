@@ -251,6 +251,32 @@ TEST(Messages, RejectsUnknownTypesAndMissingFields)
             .ok);
 }
 
+TEST(Messages, RejectsOutOfRangeAndNonIntegralNumbers)
+{
+    // Frames may come from remote workers over TCP: numbers that no
+    // integer field can hold are rejected, never cast.  Parse only.
+    for (const char *jobs : {"1e300", "2.5", "-1"}) {
+        MessageParseResult run = parseMessage(
+            std::string("{\"type\":\"run\",\"jobs\":") + jobs + "}");
+        EXPECT_FALSE(run.ok) << jobs;
+        EXPECT_NE(run.error.find("\"jobs\""), std::string::npos)
+            << run.error;
+    }
+    const std::string hello =
+        "{\"type\":\"hello\",\"version\":2,\"worker\":0,"
+        "\"cache_bytes\":0,";
+    EXPECT_TRUE(parseMessage(hello + "\"batch_seed\":\"9\",\"threads\":1}")
+                    .ok);
+    EXPECT_FALSE(
+        parseMessage(hello + "\"batch_seed\":\"9\",\"threads\":1e12}").ok);
+    EXPECT_FALSE(
+        parseMessage(hello + "\"batch_seed\":\"9\",\"threads\":-2}").ok);
+    EXPECT_FALSE(parseMessage(hello +
+                              "\"batch_seed\":\"99999999999999999999999\","
+                              "\"threads\":1}")
+                     .ok);
+}
+
 // ---------------------------------------------------------------------
 // Placement
 // ---------------------------------------------------------------------

@@ -20,8 +20,11 @@
 #include "common/fileio.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/socket.h"
 #include "common/stats.h"
 #include "common/timer.h"
+#include "obs/metrics.h"
+#include "serve/jsonl.h"
 
 namespace rasengan {
 namespace {
@@ -315,6 +318,126 @@ TEST(FileIo, ReplaceFileAtomicallyOverwritesOrKeepsTheOriginal)
     std::remove((busy + "/inner").c_str());
     ::rmdir(busy.c_str());
     std::remove(path.c_str());
+    ::rmdir(dir.c_str());
+}
+
+TEST(FileIo, RecordLogReportsAFullDiskAndStartsAFreshLineAfterATear)
+{
+    if (::access("/dev/full", W_OK) == 0) {
+        RecordLog full;
+        std::string error;
+        ASSERT_TRUE(full.open("/dev/full", /*sync=*/false, &error)) << error;
+        EXPECT_FALSE(full.append("{\"id\":\"a\"}"));
+    }
+
+    const std::string path = ::testing::TempDir() + "rasengan_recordlog_" +
+                             std::to_string(::getpid());
+    std::remove(path.c_str());
+    {
+        RecordLog log;
+        std::string error;
+        ASSERT_TRUE(log.open(path, /*sync=*/true, &error)) << error;
+        EXPECT_TRUE(log.append("one"));
+    }
+    {
+        // A torn record from a crashed writer, then a new incarnation.
+        std::ofstream(path, std::ios::app) << "tor";
+        RecordLog log;
+        ASSERT_TRUE(log.open(path, /*sync=*/true, nullptr));
+        EXPECT_TRUE(log.append("two"));
+    }
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+              "one\ntortwo\n");
+    std::remove(path.c_str());
+    EXPECT_FALSE(RecordLog().open("/no/such/dir/log", true, nullptr));
+}
+
+TEST(JsonEscape, EveryAsciiByteRoundTripsThroughTheParser)
+{
+    std::string all;
+    for (int c = 0; c < 0x80; ++c) {
+        const std::string one(1, static_cast<char>(c));
+        all += one;
+        const std::string line = "{\"k\":\"" + obs::jsonEscape(one) + "\"}";
+        for (unsigned char b : obs::jsonEscape(one))
+            EXPECT_GE(b, 0x20) << "raw control byte for " << c;
+        serve::JsonParseResult parsed = serve::parseFlatJson(line);
+        ASSERT_TRUE(parsed.ok) << c << ": " << parsed.error;
+        EXPECT_EQ(parsed.object.at("k").str, one) << c;
+    }
+    serve::JsonParseResult parsed =
+        serve::parseFlatJson("{\"k\":\"" + obs::jsonEscape(all) + "\"}");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_EQ(parsed.object.at("k").str, all);
+}
+
+TEST(Socket, ListenSpecsAreStrict)
+{
+    const std::string dir = ::testing::TempDir() + "rasengan_sock_" +
+                            std::to_string(::getpid());
+    ::mkdir(dir.c_str(), 0700);
+    std::string error;
+
+    // Port grammar: decimal 0-65535, nothing else.
+    for (const char *bad : {"tcp:70000", "tcp:", "tcp:7x", "tcp:-1",
+                            "tcp:007", "tcp:127.0.0.1:", "tcp::80",
+                            "udp:80", "unix:"}) {
+        Listener l;
+        EXPECT_FALSE(listenOn(bad, &l, &error)) << bad;
+        EXPECT_NE(error.find(bad), std::string::npos) << error;
+        EXPECT_EQ(l.fd, -1) << bad;
+    }
+    Listener ephemeral;
+    ASSERT_TRUE(listenOn("tcp:0", &ephemeral, &error)) << error;
+    EXPECT_GT(ephemeral.port, 0);
+    EXPECT_TRUE(ephemeral.unixPath.empty());
+    const int client =
+        connectTcp("127.0.0.1:" + std::to_string(ephemeral.port), &error);
+    EXPECT_GE(client, 0) << error;
+    ::close(client);
+    ::close(ephemeral.fd);
+    EXPECT_LT(connectTcp("127.0.0.1:70000", &error), 0);
+    EXPECT_LT(connectTcp("no-port", &error), 0);
+
+    // 65535 passes the grammar (a bind can still find it taken).
+    Listener top;
+    if (listenOn("tcp:65535", &top, &error))
+        ::close(top.fd);
+    else
+        EXPECT_EQ(error.find("0-65535"), std::string::npos) << error;
+
+    // An unresolvable or non-local host is an error, never loopback.
+    Listener remote;
+    EXPECT_FALSE(listenOn("tcp:192.0.2.1:7744", &remote, &error));
+
+    Listener longPath;
+    EXPECT_FALSE(
+        listenOn("unix:" + dir + "/" + std::string(200, 's'), &longPath,
+                 &error));
+
+    // A regular file at the socket path is never deleted.
+    const std::string file = dir + "/precious.txt";
+    std::ofstream(file) << "keep me\n";
+    Listener overFile;
+    EXPECT_FALSE(listenOn("unix:" + file, &overFile, &error));
+    EXPECT_NE(error.find("not a socket"), std::string::npos) << error;
+    std::ifstream in(file);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+              "keep me\n");
+
+    // A stale socket (its daemon gone) is replaced.
+    const std::string sock = dir + "/d.sock";
+    Listener first;
+    ASSERT_TRUE(listenOn("unix:" + sock, &first, &error)) << error;
+    EXPECT_EQ(first.unixPath, sock);
+    ::close(first.fd);
+    Listener second;
+    EXPECT_TRUE(listenOn("unix:" + sock, &second, &error)) << error;
+    ::close(second.fd);
+
+    std::remove(sock.c_str());
+    std::remove(file.c_str());
     ::rmdir(dir.c_str());
 }
 

@@ -348,6 +348,69 @@ TEST(Daemon, ServesJobsAndProbesOverAUnixSocket)
     EXPECT_EQ(stats.rejected, 1u);
 }
 
+TEST(Daemon, FramesSocketLinesLikeRequestFiles)
+{
+    const std::string dir = uniqueDir("framing");
+    DaemonOptions options;
+    options.listen = "unix:" + dir + "/d.sock";
+    Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    UnixClient client(dir + "/d.sock");
+    ASSERT_TRUE(client.connected());
+    // A CRLF line is the same request as its LF twin...
+    ASSERT_TRUE(client.sendLine(writeRequest(makeRequest("crlf")) + "\r"));
+    std::string line;
+    ASSERT_TRUE(client.recvLine(line));
+    JsonParseResult parsed = parseFlatJson(line);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_EQ(parsed.object["id"].str, "crlf");
+    EXPECT_TRUE(parsed.object["ok"].flag);
+    // ...while a raw CR inside a string is rejected, exactly as
+    // rasengan_serve --requests rejects that line.
+    const std::string embedded =
+        "{\"id\":\"a\rb\",\"benchmark\":\"F1\",\"iterations\":5}";
+    ASSERT_FALSE(parseRequest(embedded).ok);
+    ASSERT_TRUE(client.sendLine(embedded));
+    ASSERT_TRUE(client.recvLine(line));
+    parsed = parseFlatJson(line);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_FALSE(parsed.object["accepted"].flag);
+    EXPECT_EQ(parsed.object["reject_reason"].str,
+              parseRequest(embedded).error);
+
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().completed, 1u);
+    EXPECT_EQ(daemon.stats().rejected, 1u);
+}
+
+TEST(Daemon, CountsFailedResultsMirrorAppends)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not writable here";
+    const std::string dir = uniqueDir("results");
+    DaemonOptions options;
+    options.listen = "unix:" + dir + "/d.sock";
+    options.journalPath = dir + "/ok.wal";
+    options.resultsPath = "/dev/full";
+    Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    UnixClient client(dir + "/d.sock");
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.sendLine(writeRequest(makeRequest("full"))));
+    std::string line;
+    ASSERT_TRUE(client.recvLine(line));
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+
+    daemon.stop();
+    DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.resultsAppendFailures, 1u);
+}
+
 TEST(Daemon, ShedsDeadlineUnmeetableJobsAtAcceptTime)
 {
     const std::string dir = uniqueDir("shed");

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -390,6 +391,35 @@ TEST(Trace, ChromeExportIsBalancedAndSorted)
         EXPECT_LE(ts[i - 1], ts[i]);
     // The escaped detail survived the JSON encoder.
     EXPECT_NE(text.find("x\\\"y\\\\z"), std::string::npos);
+}
+
+TEST(Trace, ChromeExportEscapesEveryControlByte)
+{
+    TraceGuard guard;
+    obs::clearTrace();
+    obs::startTracing();
+    { obs::Span span("cat", "ctl", "a\x01" "b\rc"); }
+    obs::stopTracing();
+
+    const std::string path = ::testing::TempDir() + "trace_ctl_test.json";
+    ASSERT_TRUE(obs::writeChromeTrace(path));
+    std::ifstream in(path, std::ios::binary);
+    const std::string text(std::istreambuf_iterator<char>(in), {});
+    std::remove(path.c_str());
+
+    // Outside strings only newlines separate events; inside a string no
+    // byte below 0x20 may appear raw.
+    bool inString = false;
+    for (size_t i = 0; i < text.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(text[i]);
+        if (inString && c < 0x20)
+            ADD_FAILURE() << "raw byte " << int(c) << " at " << i;
+        if (c == '\\' && inString)
+            ++i;
+        else if (c == '"')
+            inString = !inString;
+    }
+    EXPECT_NE(text.find("a\\u0001b\\rc"), std::string::npos);
 }
 
 TEST(Trace, SpanEndsRecordedEvenIfTracingStopsMidSpan)

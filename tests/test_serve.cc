@@ -747,6 +747,128 @@ TEST(LineReader, TornFinalLineIsFlaggedTruncated)
     EXPECT_EQ(reader.truncatedLines(), 1u);
 }
 
+namespace {
+
+/** One framed line, flattened for sequence comparisons. */
+std::string
+describe(const LineFramer::Line &l)
+{
+    return std::to_string(l.number) + (l.ok ? " ok" : "") +
+           (l.oversized ? " oversized" : "") +
+           (l.truncated ? " truncated" : "") + (l.hasNul ? " nul" : "") +
+           " [" + l.text + "]";
+}
+
+/** @p bytes as LineReader frames a request file. */
+std::vector<std::string>
+fileLines(const std::string &bytes, size_t cap)
+{
+    std::istringstream in(bytes);
+    LineReader reader(in, cap);
+    LineReader::Line line;
+    std::vector<std::string> out;
+    while (reader.next(line))
+        out.push_back(describe(line));
+    return out;
+}
+
+/** @p bytes fed to a LineFramer @p chunk bytes at a time, as the
+ *  daemon feeds it recv() buffers, then closed like a stream. */
+std::vector<std::string>
+socketLines(const std::string &bytes, size_t cap, size_t chunk)
+{
+    LineFramer framer(cap);
+    LineFramer::Line line;
+    std::vector<std::string> out;
+    for (size_t pos = 0; pos < bytes.size();) {
+        const size_t n = std::min(chunk, bytes.size() - pos);
+        for (size_t used = 0; used < n;) {
+            used += framer.feed(bytes.data() + pos + used, n - used, line);
+            if (line.number != 0)
+                out.push_back(describe(line));
+        }
+        pos += n;
+    }
+    if (framer.finish(line))
+        out.push_back(describe(line));
+    return out;
+}
+
+} // namespace
+
+TEST(LineFramer, FileAndSocketFramingAgreeOnEveryDefect)
+{
+    const size_t cap = 16;
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        cases = {
+            {"a\r\nb\r\n\r\n", {"1 ok [a]", "2 ok [b]"}}, // CRLF
+            {"a\rb\nc\n", {"1 ok [a\rb]", "2 ok [c]"}}, // embedded CR
+            {std::string("x\0y\nok\n", 7), {"1 nul []", "2 ok [ok]"}},
+            {std::string(40, 'x') + "\nok\n", {"1 oversized []", "2 ok [ok]"}},
+            // exactly the cap, plus the CR a CRLF line sheds
+            {std::string(16, 'y') + "\r\n", {"1 ok [" + std::string(16, 'y') + "]"}},
+            {"one\ntorn", {"1 ok [one]", "2 truncated [torn]"}},
+            {std::string("one\nto\0rn", 9), {"1 ok [one]", "2 truncated nul []"}},
+        };
+    for (const auto &[bytes, want] : cases) {
+        EXPECT_EQ(fileLines(bytes, cap), want);
+        for (size_t chunk : {1, 2, 3, 5, 4096})
+            EXPECT_EQ(socketLines(bytes, cap, chunk), want)
+                << "chunk " << chunk;
+    }
+}
+
+TEST(Jsonl, RejectsUnescapedControlBytesInStrings)
+{
+    // RFC 8259: bytes below 0x20 must be escaped inside strings, so an
+    // embedded CR fails the line on every front alike.
+    JsonParseResult raw = parseFlatJson("{\"id\":\"a\rb\"}");
+    EXPECT_FALSE(raw.ok);
+    EXPECT_NE(raw.error.find("control byte 0x0d"), std::string::npos)
+        << raw.error;
+    EXPECT_FALSE(parseFlatJson("{\"id\":\"a\tb\"}").ok);
+    EXPECT_FALSE(parseRequest("{\"id\":\"a\rb\",\"benchmark\":\"F1\"}").ok);
+    // Escaped, the same bytes are fine.
+    JsonParseResult escaped = parseFlatJson("{\"id\":\"a\\rb\\u0001\"}");
+    ASSERT_TRUE(escaped.ok) << escaped.error;
+    EXPECT_EQ(escaped.object.at("id").str, "a\rb\x01");
+}
+
+TEST(Jsonl, FieldReaderChecksKindIntegralityAndRange)
+{
+    JsonParseResult p = parseFlatJson(
+        "{\"i\":-3,\"u\":7,\"frac\":2.5,\"big\":1e300,\"neg\":-1,"
+        "\"s\":\"x\",\"d\":\"18446744073709551615\","
+        "\"wrap\":\"18446744073709551616\"}");
+    ASSERT_TRUE(p.ok) << p.error;
+    int i = 0;
+    uint64_t u = 0, d = 0;
+    std::string str;
+    EXPECT_TRUE(FieldReader(p.object).required("i", &i).ok());
+    EXPECT_EQ(i, -3);
+    EXPECT_TRUE(FieldReader(p.object).required("u", &u).ok());
+    EXPECT_EQ(u, 7u);
+    EXPECT_TRUE(FieldReader(p.object).decimal("d", &d).ok());
+    EXPECT_EQ(d, UINT64_MAX);
+    EXPECT_FALSE(FieldReader(p.object).required("frac", &i).ok());
+    EXPECT_FALSE(FieldReader(p.object).required("big", &i).ok());
+    EXPECT_FALSE(FieldReader(p.object).required("big", &u).ok());
+    EXPECT_FALSE(FieldReader(p.object).required("neg", &u).ok());
+    EXPECT_FALSE(FieldReader(p.object).required("s", &i).ok());
+    EXPECT_FALSE(FieldReader(p.object).decimal("wrap", &d).ok());
+    EXPECT_FALSE(FieldReader(p.object).required("missing", &str).ok());
+    // Optional leaves the target alone; the first error sticks.
+    str = "kept";
+    FieldReader f(p.object);
+    EXPECT_TRUE(f.optional("missing", &str).ok());
+    EXPECT_EQ(str, "kept");
+    f.required("frac", &i).required("s", &str);
+    EXPECT_EQ(f.error(), "\"frac\" must be an integer");
+    FieldReader g(p.object);
+    g.optional("i", &i).noOtherKeys("test");
+    EXPECT_NE(g.error().find("unknown test key"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Scheduling metadata and graceful stop
 // ---------------------------------------------------------------------

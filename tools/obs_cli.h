@@ -15,7 +15,7 @@
  *  - obsCliStart()/obsCliFinish(): call the first once flags are
  *    parsed (resolves the kernel ISA, registering the simd_isa_info
  *    gauge before any export can run; configures the flight recorder
- *    from --flight or RASENGAN_FLIGHT and installs its dump signal
+ *    from --flight and installs its dump signal
  *    handlers; starts tracing when a trace path was given and records
  *    the ISA as an instant event), the second before exit (writes the
  *    Chrome trace JSON and the metrics exposition).  A metrics path
@@ -55,11 +55,9 @@ struct ObsCliOptions
 {
     std::string tracePath;
     std::string metricsPath;
-    /** --flight value: on|off|N (ring entries)|/dump/path; "" falls
-     *  back to RASENGAN_FLIGHT, then to flightDefaultOn. */
+    /** --flight value: on|off|N (ring entries)|/dump/path; "" leaves
+     *  the default (on inside the daemon, off elsewhere). */
     std::string flightSpec;
-    /** Daemon-shaped tools keep the recorder on by default. */
-    bool flightDefaultOn = false;
 };
 
 /** Batch input and output of rasengan_serve and rasengan_clusterd. */
@@ -231,10 +229,12 @@ addServiceFlags(FlagSet &flags, Front front, serve::ServiceConfig &service,
     if (front != Front::Solve) {
         serve::AdmissionLimits &limits = service.limits;
         flags.count("--batch-seed", "S", &service.batchSeed);
-        flags.add("--cache-mb", "M", "an integer >= 0",
+        // Below 2^33 MiB the byte budget stays under 2^53, so it
+        // crosses the cluster wire exactly as a JSON number.
+        flags.add("--cache-mb", "M", "an integer in [0, 2^33)",
                   [&service](const char *v) {
                       uint64_t mb = 0;
-                      if (!parseCount(v, &mb) || (mb >> 44) != 0)
+                      if (!parseCount(v, &mb) || (mb >> 33) != 0)
                           return false;
                       service.cacheBudgetBytes = mb << 20;
                       return true;
@@ -292,12 +292,8 @@ loadRequests(const BatchIo &io, std::vector<serve::JobRequest> &requests)
         // Request files are operator input: a defective line is an
         // error, not something to skip silently.
         if (!line.ok) {
-            const char *why = line.hasNul ? "request line contains a NUL byte"
-                              : line.oversized
-                                  ? "request line exceeds the length cap"
-                                  : "truncated final line (no newline)";
-            std::fprintf(stderr, "%s:%zu: %s\n", io.requests.c_str(),
-                         line.number, why);
+            std::fprintf(stderr, "%s:%zu: request line %s\n",
+                         io.requests.c_str(), line.number, line.defect());
             return false;
         }
         serve::RequestParseResult parsed = serve::parseRequest(line.text);
@@ -345,12 +341,7 @@ obsCliStart(const ObsCliOptions &opts)
     // Resolving the active ISA here registers the simd_isa_info gauge
     // before any metrics export can run.
     const char *isa = qsim::simdIsaName(qsim::simdActiveIsa());
-    const bool flight =
-        opts.flightSpec.empty()
-            ? obs::flight::configureFromEnv(opts.flightDefaultOn)
-            : obs::flight::configureFromSpec(opts.flightSpec,
-                                             opts.flightDefaultOn);
-    if (flight)
+    if (obs::flight::configureFromSpec(opts.flightSpec))
         obs::flight::installSignalHandlers();
     if (!opts.tracePath.empty()) {
         obs::clearTrace();

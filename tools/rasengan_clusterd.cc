@@ -39,31 +39,22 @@
  * the canonical merged span-tree signature, which is byte-identical
  * across worker counts and thread counts for a deterministic batch.
  *
- * Environment:
- *   RASENGAN_CLUSTER_WORKERS    default for --workers
- *   RASENGAN_CLUSTER_FAULT      default for --fault
- *   RASENGAN_CLUSTER_MAX_FRAME  wire frame size cap in bytes
- *
  * Exit status: 0 all jobs ok, 1 usage/I-O/cluster failure, 2 some
  * admitted job failed (rejections alone are reported outcomes).
  */
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "cluster/coordinator.h"
-#include "cluster/protocol.h"
 #include "cluster/worker.h"
+#include "common/socket.h"
 #include "exec/faults.h"
 #include "obs_cli.h"
 #include "serve/jsonl.h"
@@ -94,11 +85,6 @@ parseArgs(int argc, char **argv, Args &args)
     // This driver's defaults: --fault-worker 0, --max-placements 3.
     c.faultWorker = 0;
     c.retry.maxAttempts = 3;
-    c.maxFrameBytes = cluster::maxFrameBytesFromEnv();
-    if (const char *env = std::getenv("RASENGAN_CLUSTER_WORKERS"))
-        args.workers = std::strtol(env, nullptr, 10);
-    if (const char *env = std::getenv("RASENGAN_CLUSTER_FAULT"))
-        c.faultSpec = env;
 
     tools::FlagSet flags(
         "rasengan_clusterd (--requests FILE | --workload N "
@@ -148,77 +134,29 @@ parseArgs(int argc, char **argv, Args &args)
     return true;
 }
 
-/** Parse HOST:PORT and connect a TCP stream; -1 on failure. */
-int
-connectTo(const std::string &target)
-{
-    size_t colon = target.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= target.size()) {
-        std::fprintf(stderr, "--connect expects HOST:PORT\n");
-        return -1;
-    }
-    std::string host = target.substr(0, colon);
-    std::string port = target.substr(colon + 1);
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0 ||
-        res == nullptr) {
-        std::fprintf(stderr, "cannot resolve %s\n", target.c_str());
-        return -1;
-    }
-    int fd = -1;
-    for (addrinfo *ai = res; ai != nullptr; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0)
-            continue;
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0)
-        std::fprintf(stderr, "cannot connect to %s\n", target.c_str());
-    return fd;
-}
-
-/** Accept @p count worker connections on 127.0.0.1:@p port. */
+/** Accept @p count worker connections on every interface's @p port. */
 bool
 acceptWorkers(long port, long count, std::vector<int> &fds)
 {
-    int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0) {
-        std::fprintf(stderr, "cannot create listen socket\n");
+    Listener listener;
+    std::string error;
+    if (!listenOn("tcp:0.0.0.0:" + std::to_string(port), &listener,
+                  &error)) {
+        std::fprintf(stderr, "--listen: %s\n", error.c_str());
         return false;
     }
-    int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    if (::bind(listener, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(listener, static_cast<int>(count)) != 0) {
-        std::fprintf(stderr, "cannot listen on port %ld\n", port);
-        ::close(listener);
-        return false;
-    }
-    std::fprintf(stderr, "cluster: waiting for %ld workers on port %ld\n",
-                 count, port);
+    std::fprintf(stderr, "cluster: waiting for %ld workers on port %d\n",
+                 count, listener.port);
     for (long i = 0; i < count; ++i) {
-        int fd = ::accept(listener, nullptr, nullptr);
+        int fd = ::accept(listener.fd, nullptr, nullptr);
         if (fd < 0) {
             std::fprintf(stderr, "accept failed\n");
-            ::close(listener);
+            ::close(listener.fd);
             return false;
         }
         fds.push_back(fd);
     }
-    ::close(listener);
+    ::close(listener.fd);
     return true;
 }
 
@@ -279,9 +217,12 @@ main(int argc, char **argv)
     }
 
     if (args.workerMode) {
-        int fd = connectTo(args.connect);
-        if (fd < 0)
+        std::string error;
+        int fd = connectTcp(args.connect, &error);
+        if (fd < 0) {
+            std::fprintf(stderr, "--connect: %s\n", error.c_str());
             return 1;
+        }
         cluster::WorkerOutcome outcome = cluster::runWorker(fd);
         if (!outcome.ok) {
             std::fprintf(stderr, "worker: %s\n", outcome.error.c_str());
@@ -330,19 +271,15 @@ main(int argc, char **argv)
     size_t accepted = 0, rejected = 0, failed = 0;
     for (const auto &line : coordinator.resultLines()) {
         serve::JsonParseResult parsed = serve::parseFlatJson(line);
-        if (!parsed.ok) {
+        bool wasAccepted = false, wasOk = false;
+        serve::FieldReader(parsed.object)
+            .optional("accepted", &wasAccepted)
+            .optional("ok", &wasOk);
+        if (!parsed.ok)
             ++failed;
-            continue;
-        }
-        auto boolOf = [&](const char *key) {
-            auto it = parsed.object.find(key);
-            return it != parsed.object.end() &&
-                   it->second.kind == serve::JsonValue::Kind::Bool &&
-                   it->second.flag;
-        };
-        if (!boolOf("accepted"))
+        else if (!wasAccepted)
             ++rejected;
-        else if (!boolOf("ok"))
+        else if (!wasOk)
             ++failed;
         else
             ++accepted;

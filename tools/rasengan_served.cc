@@ -67,7 +67,6 @@ main(int argc, char **argv)
     serve::DaemonOptions options;
     options.listen.clear();
     tools::ObsCliOptions obs;
-    obs.flightDefaultOn = true;
     tools::FlagSet flags("rasengan_served --listen (unix:PATH | "
                          "tcp:[HOST:]PORT) [options]");
     flags.text("--listen", "ADDR", &options.listen);
@@ -84,10 +83,10 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Resolve the amplitude kernel tier and decide the flight recorder
-    // before the daemon starts serving: the very first /metrics.json
-    // probe already reports the active ISA, and Daemon::start() keeps
-    // this explicit flight decision.
+    // Resolve the amplitude kernel tier and apply --flight before the
+    // daemon starts serving: the very first /metrics.json probe already
+    // reports the active ISA, and Daemon::start() keeps an explicit
+    // flight decision (without one it turns the recorder on).
     tools::obsCliStart(obs);
     const char *simdIsa = qsim::simdIsaName(qsim::simdActiveIsa());
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Command-line contract of the four drivers: serve and cluster write
 # identical result files, output write errors fail the run, malformed
-# numbers and unknown flags are usage errors naming the flag.
+# numbers, listen specs and unknown flags are usage errors naming the
+# flag or spec.
 #
 # Usage: test_cli.sh SOLVE SERVE SERVED CLUSTERD   (the four binaries)
 
@@ -59,12 +60,32 @@ expect 1 --threads "$serve" --workload 1 --threads abc
 expect 1 --max-queue "$serve" --workload 1 --max-queue -5
 expect 1 --cache-mb "$serve" --workload 1 --cache-mb 1x
 expect 1 --max-cost "$serve" --workload 1 --max-cost 1e3x
+# A budget of 2^33 MiB or more would not cross the cluster wire exactly.
+expect 1 --cache-mb "$serve" --workload 1 --cache-mb 8589934592
 expect 1 --max-queue "$served" --listen "unix:$tmp/d.sock" --max-queue -5
 expect 1 --shed-margin "$served" --listen "unix:$tmp/d.sock" \
     --shed-margin 0.1.2
 expect 1 --max-placements "$clusterd" --workload 1 --workers 1 \
     --max-placements 2x
 expect 1 --workers "$clusterd" --workload 1 --workers -2
+
+# Listen specs are strict: a bad port or host fails naming the spec,
+# and a regular file at a unix socket path is never deleted.
+echo "keep me" > "$tmp/precious"
+expect 1 tcp:70000 "$served" --listen tcp:70000
+expect 1 '"tcp:"' "$served" --listen tcp:
+expect 1 "$tmp/precious" "$served" --listen "unix:$tmp/precious"
+if [ "$(cat "$tmp/precious")" != "keep me" ]; then
+    echo "FAIL: --listen unix:<regular file> touched the file"
+    failures=$((failures + 1))
+fi
+
+# A raw control byte inside a request string fails the file at its line.
+printf '{"id":"a\rb","benchmark":"F1","iterations":5}\n' > "$tmp/cr.jsonl"
+expect 1 "cr.jsonl:1:" "$serve" --requests "$tmp/cr.jsonl"
+
+# Cluster settings come from flags only, never the environment.
+expect 1 "--workers" env RASENGAN_CLUSTER_WORKERS=2 "$clusterd" --workload 2
 
 # Unknown flags, and the flags of removed features (the tuner, the
 # kernel ISA override), are rejected everywhere.
